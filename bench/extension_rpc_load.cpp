@@ -20,13 +20,26 @@
 //
 // Gates (exit nonzero on violation — a regression gate, not a demo):
 //   * zero identity mismatches and zero exhausted-retry failures,
-//   * p99 latency bounded by max(100 x p50, 1 s),
+//   * 1-client p50 under 2 ms (ROADMAP item 1): one analyst's round trip
+//     costs what the service costs. On a 4-vCPU host it reads 1.1-1.4 ms;
+//     with a frame's header and payload sent as two segments and no
+//     TCP_NODELAY it read 88 ms (Nagle + delayed ACK), and that build
+//     fails this gate;
+//   * every pass's p99 (the chaos pass included) at most 30 x the same
+//     run's 1-client p99 x max(1, clients / service threads). The worst
+//     of 10 runs on that host used 0.29 of this bound (a factor of 8.6,
+//     in the chaos pass; 6.4 in the clean sweep). The 88 ms build passes
+//     this gate: its stall is a flat floor under every pass, so its tails
+//     scale less than its base. The gate catches queueing regressions;
+//     the p50 gate catches the floor. It replaces max(100 x p50, 1 s),
+//     which the stall passed at 88 ms,
 //   * chaos pass observed at least one injected fault (else it tested
 //     nothing), and the server counted it,
 //   * clean drain after every pass.
 //
 // Default scale finishes in seconds (CI smoke); pass a multiplier to
 // scale requests per client, e.g. `extension_rpc_load 4`.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -49,6 +62,33 @@ namespace {
 
 constexpr const char* kDataset = "/tmp/gs_rpc_load.bp";
 constexpr std::size_t kQuerySpace = 64;  ///< distinct queries in the mix
+constexpr std::size_t kServiceThreads = 4;
+/// ROADMAP item 1: one analyst on loopback waits under 2 ms per query.
+constexpr double kIdleP50Gate = 2e-3;
+/// A pass's p99 may exceed the same run's 1-client p99, scaled by its
+/// queueing depth (clients / service threads), by at most this factor.
+constexpr double kTailFactor = 30.0;
+
+/// The p99 ceiling of an n-client pass: the 1-client p99 times the
+/// queueing depth (clients per service worker, at least 1) times the
+/// allowed tail factor.
+double tail_bound(double idle_p99, std::size_t n_clients) {
+  const double depth = std::max(
+      1.0, static_cast<double>(n_clients) / static_cast<double>(kServiceThreads));
+  return kTailFactor * idle_p99 * depth;
+}
+
+/// The tail gate of one pass: reports a FAIL line and returns false when
+/// its p99 exceeds tail_bound().
+bool tail_within_bound(const char* pass, std::size_t n_clients, double p99,
+                       double idle_p99) {
+  if (p99 <= tail_bound(idle_p99, n_clients)) return true;
+  std::printf("FAIL: %s p99 %.3f ms exceeds %.0f x 1-client p99 (%.3f ms) "
+              "x max(1, %zu / %zu)\n",
+              pass, p99 * 1e3, kTailFactor, idle_p99 * 1e3, n_clients,
+              kServiceThreads);
+  return false;
+}
 
 struct Lcg {
   std::uint64_t state;
@@ -182,7 +222,7 @@ int main(int argc, char** argv) {
   const std::int64_t n_steps = settings.steps / settings.plotgap;
 
   gs::svc::ServiceConfig svc_config;
-  svc_config.threads = 4;
+  svc_config.threads = kServiceThreads;
   gs::svc::Service service(kDataset, std::move(svc_config));
   std::vector<std::uint32_t> expected(kQuerySpace);
   for (std::size_t q = 0; q < kQuerySpace; ++q) {
@@ -197,9 +237,11 @@ int main(int argc, char** argv) {
   std::printf("dataset: %s  (%zu-query ground truth precomputed)\n\n",
               kDataset, kQuerySpace);
 
-  // Phase 2: clean client sweep.
-  gs::TableFormatter table(
-      {"clients", "req/s", "p50", "p95", "p99", "wrong", "failed"});
+  // Phase 2: clean client sweep. The 1-client pass comes first: its p99
+  // is the same-run base of every later pass's tail gate.
+  gs::TableFormatter table({"clients", "req/s", "p50", "p95", "p99",
+                            "p99/bound", "wrong", "failed"});
+  double idle_p99 = 0.0;
   for (const std::size_t n_clients : {1u, 8u, 64u}) {
     gs::rpc::ServerConfig config;
     config.max_connections = 128;
@@ -208,11 +250,15 @@ int main(int argc, char** argv) {
                             expected, n_steps, settings.L);
     server.shutdown();
     const auto stats = server.stats();
+    const double p50 = r.latencies.percentile(50);
+    const double p99 = r.latencies.percentile(99);
+    if (n_clients == 1) idle_p99 = p99;
     table.row({std::to_string(n_clients),
                gs::format_fixed(r.elapsed > 0 ? r.ok / r.elapsed : 0.0, 1),
-               gs::format_seconds(r.latencies.percentile(50)),
+               gs::format_seconds(p50),
                gs::format_seconds(r.latencies.percentile(95)),
-               gs::format_seconds(r.latencies.percentile(99)),
+               gs::format_seconds(p99),
+               gs::format_fixed(p99 / tail_bound(idle_p99, n_clients), 3),
                std::to_string(r.wrong), std::to_string(r.failed)});
     if (r.wrong != 0 || r.failed != 0 ||
         r.ok != n_clients * reqs_per_client) {
@@ -222,12 +268,13 @@ int main(int argc, char** argv) {
                   (unsigned long long)r.wrong, (unsigned long long)r.failed);
       failed = true;
     }
-    const double p50 = r.latencies.percentile(50);
-    const double p99 = r.latencies.percentile(99);
-    if (p99 > std::max(100.0 * p50, 1.0)) {
-      std::printf("FAIL: %zu-client p99 %.3fs exceeds max(100 x p50, 1s) "
-                  "(p50 %.6fs)\n",
-                  n_clients, p99, p50);
+    if (n_clients == 1 && p50 >= kIdleP50Gate) {
+      std::printf("FAIL: 1-client p50 %.3f ms is not under %.0f ms\n",
+                  p50 * 1e3, kIdleP50Gate * 1e3);
+      failed = true;
+    }
+    const std::string pass = std::to_string(n_clients) + "-client";
+    if (!tail_within_bound(pass.c_str(), n_clients, p99, idle_p99)) {
       failed = true;
     }
     if (stats.active != 0) {
@@ -256,12 +303,15 @@ int main(int argc, char** argv) {
     server.shutdown();
     const auto stats = server.stats();
     const std::uint64_t observed = gs::fault::Injector::instance().injected();
+    const double p99 = r.latencies.percentile(99);
     std::printf("chaos: %llu injected faults, server counters: io_errors "
-                "%llu, killed %llu, crc %llu\n",
+                "%llu, killed %llu, crc %llu; p99 %.3f ms (%.3f of bound)\n",
                 (unsigned long long)observed,
                 (unsigned long long)stats.io_errors,
                 (unsigned long long)stats.killed_connections,
-                (unsigned long long)stats.crc_errors);
+                (unsigned long long)stats.crc_errors, p99 * 1e3,
+                p99 / tail_bound(idle_p99, 16));
+    if (!tail_within_bound("chaos", 16, p99, idle_p99)) failed = true;
     if (observed == 0) {
       std::printf("FAIL: chaos pass injected nothing — gate is vacuous\n");
       failed = true;

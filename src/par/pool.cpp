@@ -13,6 +13,8 @@ thread_local bool tl_in_region = false;
 
 bool ThreadPool::in_region() { return tl_in_region; }
 
+void ThreadPool::run_inline_on_this_thread() { tl_in_region = true; }
+
 ThreadPool::ThreadPool(std::size_t lanes) : lanes_(lanes == 0 ? 1 : lanes) {
   spawn_workers();
 }

@@ -13,9 +13,12 @@
 // pool size, including 1.
 //
 // Re-entrancy: run() called from inside a task (nested parallelism) or
-// from a pool of size 1 executes inline on the calling thread. Concurrent
-// run() calls from independent threads (e.g. gs::svc workers sharing the
-// pool) are serialized, one region at a time.
+// from a pool of size 1 executes inline on the calling thread. So does
+// every run() from a thread that called run_inline_on_this_thread(): a
+// thread that is itself one lane of an outer parallel axis (a gs::svc
+// request worker) keeps its regions to itself instead of queueing on the
+// pool behind its siblings' regions. Any other concurrent run() calls
+// from independent threads are serialized, one region at a time.
 #pragma once
 
 #include <atomic>
@@ -57,6 +60,13 @@ class ThreadPool {
   /// True while the calling thread is executing a task of some region
   /// (used by run() to fall back to inline execution for nested regions).
   static bool in_region();
+
+  /// From now on, every region the calling thread opens runs inline on
+  /// it, as a nested region does; in_region() stays true for the rest of
+  /// the thread's life. Results are unchanged (fixed tiling). For threads
+  /// that are one lane of an outer parallel axis, where pool regions
+  /// would only queue behind each other.
+  static void run_inline_on_this_thread();
 
  private:
   struct Region {

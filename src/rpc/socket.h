@@ -1,7 +1,9 @@
 // POSIX stream-socket wrappers for the gs::rpc serving layer: an
 // address type covering TCP and Unix-domain endpoints, a move-only RAII
 // socket with deadline-bounded exact reads/writes, a listener, and a
-// nonblocking dial with a connect timeout.
+// nonblocking dial with a connect timeout. Every TCP socket, dialed or
+// accepted, has TCP_NODELAY set, so a small frame is never held back
+// waiting for the ACK of the previous one.
 //
 // Everything is nonblocking under the hood; blocking semantics are built
 // from poll(2) loops so every operation can carry a deadline (the
@@ -50,9 +52,15 @@ class Socket {
   int fd() const { return fd_; }
   void close();
 
-  /// Writes the whole buffer or throws gs::IoError (peer reset, or the
+  /// Writes the concatenation of `parts` (at most two: a frame's header
+  /// and payload) with gathering sendmsg(2) calls — one call when the
+  /// socket buffer has room — or throws gs::IoError (peer reset, or the
   /// overall deadline expired mid-buffer). timeout_ms <= 0 = no deadline.
-  void write_all(std::span<const std::byte> data, std::int64_t timeout_ms);
+  void write_all(std::span<const std::span<const std::byte>> parts,
+                 std::int64_t timeout_ms);
+  void write_all(std::span<const std::byte> data, std::int64_t timeout_ms) {
+    write_all(std::span(&data, 1), timeout_ms);
+  }
 
   /// Reads exactly data.size() bytes. Returns false on a clean EOF before
   /// the first byte (peer closed between messages); throws gs::IoError on

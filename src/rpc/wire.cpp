@@ -659,11 +659,16 @@ std::size_t send_frame(Socket& socket, const Frame& frame,
   header.u64(frame.id);
   header.u32(static_cast<std::uint32_t>(frame.payload.size()));
   header.u32(crc);
-  socket.write_all(header.bytes(), timeout_ms);
+  std::span<const std::byte> head(header.bytes());
 
-  // A `fail` injected here lands between header and payload: the peer
-  // sees a torn frame (header promising bytes that never arrive).
-  injector.check("rpc.write");
+  // An injection armed at rpc.write lands between header and payload: the
+  // header goes out alone first, so a `fail` (or `kill`) leaves the peer
+  // a torn frame — a header promising bytes that never arrive.
+  if (const auto injection = injector.consume("rpc.write")) {
+    socket.write_all(head, timeout_ms);
+    injector.act("rpc.write", *injection);
+    head = {};
+  }
 
   std::span<const std::byte> body(frame.payload);
   std::vector<std::byte> corrupted;
@@ -676,7 +681,10 @@ std::size_t send_frame(Socket& socket, const Frame& frame,
       injector.act("rpc.frame_corrupt", *injection);
     }
   }
-  if (!body.empty()) socket.write_all(body, timeout_ms);
+  // Header and payload leave in one gathering send, so the frame's tail
+  // never waits on the ACK of its head.
+  const std::array<std::span<const std::byte>, 2> parts{head, body};
+  socket.write_all(parts, timeout_ms);
   return kHeaderBytes + body.size();
 }
 

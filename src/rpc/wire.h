@@ -25,10 +25,16 @@
 // instead of misparsing. The payload encoding may only grow by appending
 // fields within a version; incompatible changes bump `version`.
 //
+// Sending: one gathering sendmsg of header + payload per frame (with
+// TCP_NODELAY on every TCP socket, see socket.h), so a frame's payload
+// never waits on the peer's delayed ACK of its header.
+//
 // Fault sites: "rpc.read" (before each frame receive), "rpc.write"
-// (between header and payload send — a `fail` here leaves a torn frame
-// on the wire), "rpc.frame_corrupt" (flips a payload byte after the CRC
-// is computed, so the receiver must detect it).
+// (between header and payload: when an injection is armed, the header is
+// sent alone first, so a `fail` leaves exactly the 24 header bytes — a
+// torn frame — on the wire before the fault surfaces), "rpc.frame_corrupt"
+// (flips a payload byte after the CRC is computed, so the receiver must
+// detect it).
 #pragma once
 
 #include <cstddef>
@@ -177,9 +183,10 @@ std::uint64_t decode_u64(std::span<const std::byte> payload);
 
 // ---- framed socket I/O ---------------------------------------------------
 
-/// Sends one frame (header + CRC'd payload) within `timeout_ms`.
-/// Returns bytes put on the wire. Fault sites: "rpc.write" (torn frame),
-/// "rpc.frame_corrupt" (payload byte flip the receiver must catch).
+/// Sends one frame (header + CRC'd payload, one gathering send) within
+/// `timeout_ms`. Returns bytes put on the wire. Fault sites: "rpc.write"
+/// (torn frame: header only), "rpc.frame_corrupt" (payload byte flip the
+/// receiver must catch).
 std::size_t send_frame(Socket& socket, const Frame& frame,
                        std::int64_t timeout_ms);
 

@@ -8,6 +8,7 @@
 #include "common/format.h"
 #include "common/log.h"
 #include "fault/fault.h"
+#include "par/pool.h"
 #include "svc/merge.h"
 
 namespace gs::svc {
@@ -169,6 +170,10 @@ void Service::shutdown() {
 }
 
 void Service::worker_main() {
+  // The request workers are this daemon's parallel axis: a request's
+  // gs::par regions run inline on its worker rather than queueing on the
+  // shared pool behind the other workers' regions (ServiceConfig::threads).
+  par::ThreadPool::run_inline_on_this_thread();
   for (;;) {
     std::unique_lock<std::mutex> lock(queue_mu_);
     queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });

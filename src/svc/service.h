@@ -49,12 +49,14 @@
 namespace gs::svc {
 
 struct ServiceConfig {
-  /// Request-handling worker threads. These are SERVICE workers (I/O +
-  /// query orchestration); any gs::par data-parallel region a worker
-  /// enters (analysis reductions, checksums) shares the process-global
-  /// gs::par pool — concurrent regions serialize at the region boundary
-  /// and nested regions run inline, so it is safe for every worker to
-  /// use par:: primitives freely.
+  /// Request-handling worker threads: the service's only parallel axis.
+  /// Every gs::par region a worker enters (analysis reductions,
+  /// checksums) runs inline on that worker
+  /// (par::ThreadPool::run_inline_on_this_thread) instead of on the
+  /// process-global pool, where concurrent requests' regions would
+  /// serialize one region at a time. Tile plans are fixed, so answers are
+  /// bitwise identical either way; a request's latency is then its own
+  /// serial work, and throughput scales with this count.
   std::size_t threads = 2;
   /// Admission-queue bound; 0 disables admission control (unbounded).
   std::size_t queue_capacity = 64;

@@ -73,8 +73,10 @@ TEST(Pool, NestedRunExecutesInlineWithoutDeadlock) {
 }
 
 TEST(Pool, ConcurrentRegionsFromManyThreadsSerialize) {
-  // gs::svc workers share the global pool; concurrent run() calls must
-  // serialize, each completing all its own tasks.
+  // Independent threads sharing one pool (e.g. a solver and a BP writer
+  // driven from different threads): concurrent run() calls must
+  // serialize, each completing all its own tasks. gs::svc workers do not
+  // take this path; they run their regions inline.
   ThreadPool pool(3);
   std::atomic<int> total{0};
   std::vector<std::thread> clients;

@@ -8,13 +8,18 @@
 // slow consumers, and fail producers cleanly at shutdown.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -224,20 +229,78 @@ TEST(RpcWire, BadMagicAndTornFramesRejected) {
     pair.a.write_all(junk, 1000);
     EXPECT_THROW(recv_frame(pair.b, 1000), gs::IoError);
   }
-  {
-    SocketPair pair;
-    Frame frame;
-    frame.type = FrameType::stats_reply;
-    frame.payload = encode_text("{}");
-    // A fail at rpc.write lands between header and payload: the peer
-    // sees a torn frame (header promises bytes that never arrive).
+  Frame frame;
+  frame.type = FrameType::stats_reply;
+  frame.payload = encode_text("{}");
+  // A fail at rpc.write lands between header and payload: the header
+  // alone goes out, then the fault surfaces to the sender.
+  const auto send_torn = [&](Socket& sock) {
     gs::fault::Plan plan;
     plan.fail_at("rpc.write", 0);
     gs::fault::ScopedPlan scoped(plan);
-    EXPECT_THROW(send_frame(pair.a, frame, 1000), gs::fault::InjectedFault);
-    pair.a.close();
-    EXPECT_THROW(recv_frame(pair.b, 1000), gs::IoError);
+    EXPECT_THROW(send_frame(sock, frame, 1000), gs::fault::InjectedFault);
+    sock.close();
+  };
+  {
+    // On the wire: exactly the 24 header bytes, then EOF.
+    SocketPair pair;
+    send_torn(pair.a);
+    std::array<std::byte, kHeaderBytes> header{};
+    ASSERT_TRUE(pair.b.read_exact(header, 1000)) << "header never arrived";
+    ByteReader r(header);
+    EXPECT_EQ(r.u32(), kMagic);
+    std::byte extra[1]{};
+    EXPECT_FALSE(pair.b.read_exact(extra, 1000)) << "bytes past the header";
   }
+  {
+    // The receiver reports it as a torn frame — not a bad magic, not a
+    // clean EOF between frames.
+    SocketPair pair;
+    send_torn(pair.a);
+    try {
+      recv_frame(pair.b, 1000);
+      ADD_FAILURE() << "torn frame accepted or read as a clean EOF";
+    } catch (const gs::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("torn frame"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RpcWire, LargeFrameResumesPartialSendsIntoSmallSendBuffer) {
+  // A 4 MiB frame through a send buffer a few KiB wide: write_all must
+  // resume sendmsg after every partial send, across the header/payload
+  // iovec boundary, while the reader drains late.
+  SocketPair pair;
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(pair.a.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+  Frame frame;
+  frame.type = FrameType::response;
+  frame.id = 99;
+  frame.payload.resize(std::size_t{4} << 20);
+  for (std::size_t i = 0; i < frame.payload.size(); ++i) {
+    frame.payload[i] = static_cast<std::byte>((i * 131 + (i >> 12)) & 0xFF);
+  }
+  std::optional<Frame> got;
+  std::string reader_error;
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    try {
+      got = recv_frame(pair.b, 10000);  // CrcError on any misplaced byte
+    } catch (const std::exception& e) {
+      reader_error = e.what();
+    }
+  });
+  std::size_t sent = 0;
+  EXPECT_NO_THROW(sent = send_frame(pair.a, frame, 10000));
+  reader.join();
+  EXPECT_EQ(sent, kHeaderBytes + frame.payload.size());
+  ASSERT_EQ(reader_error, "");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, frame.id);
+  EXPECT_TRUE(got->payload == frame.payload);
 }
 
 TEST(RpcWire, CorruptedPayloadFailsCrc) {
@@ -287,6 +350,42 @@ TEST(RpcSocket, ZeroTimeoutWaitReadablePollsWithoutBlocking) {
   const std::byte one[1] = {std::byte{42}};
   pair.a.write_all(one, 1000);
   EXPECT_TRUE(pair.b.wait_readable(0));  // pending data visible at once
+}
+
+TEST(RpcSocket, TcpNoDelayOnBothEnds) {
+  const auto nodelay = [](const Socket& sock) {
+    int value = 0;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len),
+              0);
+    return value;
+  };
+  Listener listener =
+      Listener::bind_listen(Endpoint::parse("127.0.0.1:0"), 4);
+  Socket dialed = dial(listener.endpoint(), 2000);
+  std::optional<Socket> accepted = listener.accept(2000);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_EQ(nodelay(dialed), 1);
+  EXPECT_EQ(nodelay(*accepted), 1);
+
+  // Unix endpoints take no TCP option and still carry frames both ways.
+  Listener unix_listener = Listener::bind_listen(
+      Endpoint::parse("unix:" + temp_path("rpc_nodelay.sock")), 4);
+  Socket client = dial(unix_listener.endpoint(), 2000);
+  std::optional<Socket> server = unix_listener.accept(2000);
+  ASSERT_TRUE(server.has_value());
+  Frame frame;
+  frame.type = FrameType::ping;
+  frame.id = 5;
+  send_frame(client, frame, 1000);
+  const auto request = recv_frame(*server, 1000);
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->id, 5u);
+  frame.type = FrameType::pong;
+  send_frame(*server, frame, 1000);
+  const auto reply = recv_frame(client, 1000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::pong);
 }
 
 TEST(RpcSocket, ClosedSocketOperationsThrowIoError) {
@@ -487,6 +586,44 @@ TEST(RpcServer, ShutdownDrainsInFlightRequests) {
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->ok()) << "in-flight request dropped at shutdown: "
                             << result->status().message;
+}
+
+TEST(RpcLatency, LoopbackRoundTripUnderDelayedAckFloor) {
+  // A frame whose header and payload leave as separate small segments
+  // waits for the peer's delayed ACK (40 ms minimum on Linux) before its
+  // tail is sent. One gather send plus TCP_NODELAY puts a loopback round
+  // trip far below that floor, even under a sanitizer.
+  gs::svc::Service service(dataset());
+  Server server(service);
+  Client client(server.endpoint());
+  client.ping();  // connect outside the timed calls
+
+  const auto median_ms = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const auto time_ms = [](const auto& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  std::vector<double> pings;
+  std::vector<double> stats;
+  for (int i = 0; i < 200; ++i) {
+    pings.push_back(time_ms([&] { client.ping(); }));
+  }
+  for (int i = 0; i < 50; ++i) {
+    stats.push_back(time_ms([&] {
+      ASSERT_TRUE(client.field_stats("U", i % kSteps).ok());
+    }));
+  }
+  // Each kind separately: an empty-payload ping is one segment each way
+  // and never met the stall; a request with a payload always did.
+  EXPECT_LT(median_ms(pings), 10.0);
+  EXPECT_LT(median_ms(stats), 10.0);
+  server.shutdown();
 }
 
 // ---- injected transport faults ------------------------------------------

@@ -18,6 +18,7 @@
 #include "bp/writer.h"
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
+#include "par/pool.h"
 #include "prof/profiler.h"
 #include "svc/cache.h"
 #include "svc/service.h"
@@ -47,13 +48,13 @@ double cell_value(const Index3& g, const Index3& shape, std::int64_t step) {
 }
 
 /// Writes kSteps of L^3 "U" and "V" with 4 ranks; returns the path.
-std::string write_dataset(const std::string& name) {
+std::string write_dataset(const std::string& name, std::int64_t L = kL) {
   const std::string path = temp_dataset(name);
   fs::remove_all(path);
   gs::mpi::run(4, [&](gs::mpi::Comm& world) {
-    const Decomposition d = Decomposition::cube(kL, world.size());
+    const Decomposition d = Decomposition::cube(L, world.size());
     const Box3 box = d.local_box(world.rank());
-    const Index3 shape{kL, kL, kL};
+    const Index3 shape{L, L, L};
     gs::bp::Writer w(path, world, 2);
     for (int s = 0; s < kSteps; ++s) {
       std::vector<double> block(static_cast<std::size_t>(box.volume()));
@@ -557,6 +558,56 @@ TEST(SvcConcurrency, ParallelClientsGetSerialAnswers) {
   const auto m = service.metrics();
   EXPECT_EQ(m.completed_ok, 48u);
   EXPECT_EQ(m.submitted, m.accounted());
+}
+
+// ---- parallelism ----------------------------------------------------------
+
+TEST(SvcParallelism, WorkersRunRegionsInlineWithIdenticalAnswers) {
+  // The request workers are the service's parallel axis: each request's
+  // gs::par regions run inline on its worker, not on the shared pool.
+  // Fixed tile plans keep the answers bitwise equal to direct analysis at
+  // any pool width. L=64 gives each whole-array reduction 8 tiles.
+  const std::string path = write_dataset("svc_inline", 64);
+  const gs::bp::Reader reader(path);
+  const auto u = reader.read_full("U", 1);
+  const auto v = reader.read_full("V", 2);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+    gs::par::set_global_lanes(lanes);
+    std::atomic<int> inline_requests{0};
+    std::atomic<int> pooled_requests{0};
+    ServiceConfig config;
+    config.before_execute = [&](const Request&) {
+      (gs::par::ThreadPool::in_region() ? inline_requests : pooled_requests)
+          .fetch_add(1);
+    };
+    Service service(path, std::move(config));
+    Client client(service);
+
+    const auto stats = client.field_stats("U", 1);
+    ASSERT_TRUE(stats.ok()) << stats.status().message;
+    const auto direct_stats = gs::analysis::compute_stats(u);
+    EXPECT_EQ(stats.value().stats.count, direct_stats.count);
+    EXPECT_EQ(stats.value().stats.min, direct_stats.min);
+    EXPECT_EQ(stats.value().stats.max, direct_stats.max);
+    EXPECT_EQ(stats.value().stats.mean, direct_stats.mean);
+    EXPECT_EQ(stats.value().stats.stddev, direct_stats.stddev);
+
+    const auto hist = client.histogram("V", 2, 32);
+    ASSERT_TRUE(hist.ok()) << hist.status().message;
+    const auto direct_hist = gs::analysis::field_histogram(v, 32);
+    EXPECT_EQ(hist.value().lo, direct_hist.bin_lo(0));
+    EXPECT_EQ(hist.value().hi, direct_hist.bin_hi(direct_hist.bins() - 1));
+    ASSERT_EQ(hist.value().counts.size(), direct_hist.bins());
+    for (std::size_t b = 0; b < direct_hist.bins(); ++b) {
+      EXPECT_EQ(hist.value().counts[b], direct_hist.count(b))
+          << "bin " << b << " at " << lanes << " lanes";
+    }
+
+    EXPECT_EQ(inline_requests.load(), 2) << lanes << " lanes";
+    EXPECT_EQ(pooled_requests.load(), 0) << lanes << " lanes";
+  }
+  gs::par::set_global_lanes(gs::par::default_lanes());
+  fs::remove_all(path);
 }
 
 }  // namespace
