@@ -24,10 +24,10 @@
 // summed replacement plans (Sigma blocks_planned via their MapWatcher
 // reloads) must equal the ring's minimal-movement diff EXACTLY.
 //
-// GS_CTRL_NONFATAL=1 downgrades the timing- and budget-class gates
+// GS_BENCH_NONFATAL=1 relaxes the timing- and budget-class gates
 // (trajectory deadlines, steady-zero-commits, epoch budget, convergence
-// timeouts) to warnings for shared CI runners. The correctness gates —
-// zero wrong answers, exact warming bounds — stay fatal regardless.
+// timeouts) for shared CI runners. The correctness gates — zero wrong
+// answers, exact warming bounds — stay fatal regardless.
 //
 // Default scale finishes in well under a minute; pass a multiplier to
 // stretch the pass deadlines, e.g. `extension_ctrl_convergence 4`.
@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,14 +43,8 @@
 #include <thread>
 #include <vector>
 
-#include "bp/reader.h"
-#include "common/checksum.h"
-#include "core/workflow.h"
+#include "bench/harness.h"
 #include "ctrl/controller.h"
-#include "mpi/runtime.h"
-#include "rpc/client.h"
-#include "rpc/server.h"
-#include "rpc/wire.h"
 #include "shard/map.h"
 #include "shard/reshard.h"
 #include "shard/router.h"
@@ -59,242 +52,39 @@
 
 namespace {
 
-constexpr const char* kDataset = "/tmp/gs_ctrl_conv.bp";
-constexpr const char* kMapFile = "/tmp/gs_ctrl_conv_map.json";
+namespace bench = gs::bench;
+
 constexpr std::size_t kQuerySpace = 48;
-constexpr double kGraceSeconds = 2.0;
+constexpr std::uint64_t kQuerySeed = 0xE90C4BADF00Dull;
 constexpr int kEpochBudget = 6;  // the run needs 4; 6 is the hard cap
-
-struct Lcg {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  }
-};
-
-gs::svc::Request make_query(std::size_t q, std::int64_t n_steps,
-                            std::int64_t L) {
-  Lcg rng{0xE90C4BADF00Dull ^ (q * 2654435761ull)};
-  const std::int64_t step = static_cast<std::int64_t>(
-      rng.next() % static_cast<std::uint64_t>(n_steps));
-  gs::svc::Request request;
-  switch (q % 5) {
-    case 0:
-      request.body = gs::svc::ListVariablesQ{};
-      break;
-    case 1:
-      request.body = gs::svc::FieldStatsQ{q % 2 ? "U" : "V", step};
-      break;
-    case 2:
-      request.body = gs::svc::HistogramQ{q % 2 ? "V" : "U", step, 32};
-      break;
-    case 3:
-      request.body = gs::svc::Slice2DQ{
-          "U", step, 2,
-          static_cast<std::int64_t>(rng.next() %
-                                    static_cast<std::uint64_t>(L))};
-      break;
-    default: {
-      const std::int64_t half = L / 2;
-      request.body = gs::svc::ReadBoxQ{
-          "V", step,
-          gs::Box3{{0, 0,
-                    static_cast<std::int64_t>(
-                        rng.next() % static_cast<std::uint64_t>(half))},
-                   {half, half, half}}};
-      break;
-    }
-  }
-  return request;
-}
-
-std::uint32_t identity_crc(const gs::svc::Response& response) {
-  const auto bytes = gs::rpc::encode_answer_identity(response);
-  return gs::crc32(std::span<const std::byte>(bytes.data(), bytes.size()));
-}
-
-struct PassResult {
-  std::uint64_t exact = 0;
-  std::uint64_t degraded = 0;  ///< explicitly flagged — never silent
-  std::uint64_t wrong = 0;     ///< mismatched WITHOUT a flag: the cardinal sin
-  std::uint64_t failed = 0;
-
-  void add(const gs::svc::Response& response,
-           const std::vector<std::uint32_t>& expected, std::size_t q) {
-    if (response.status.ok() && !response.degraded &&
-        identity_crc(response) == expected[q]) {
-      ++exact;
-    } else if (response.degraded || !response.status.ok()) {
-      ++degraded;
-    } else {
-      ++wrong;
-      std::printf("WRONG: query %zu answered ok+undegraded with a "
-                  "mismatched identity\n",
-                  q);
-    }
-  }
-
-  void merge(const PassResult& other) {
-    exact += other.exact;
-    degraded += other.degraded;
-    wrong += other.wrong;
-    failed += other.failed;
-  }
-};
-
-/// One full sweep of the query space through the wire path.
-PassResult sweep_wire(const gs::rpc::Endpoint& endpoint,
-                      const std::vector<std::uint32_t>& expected,
-                      std::int64_t n_steps, std::int64_t L) {
-  PassResult result;
-  gs::rpc::ClientConfig config;
-  config.retries = 6;
-  config.backoff_ms = 1.0;
-  gs::rpc::Client client(endpoint, config);
-  for (std::size_t q = 0; q < kQuerySpace; ++q) {
-    try {
-      result.add(client.call(make_query(q, n_steps, L)), expected, q);
-    } catch (const gs::IoError&) {
-      ++result.failed;
-    }
-  }
-  return result;
-}
-
-/// Every block key of the dataset — the universe both the controller's
-/// planner and the movement-bound assertion compute over.
-std::vector<std::string> dataset_block_keys() {
-  gs::bp::Reader reader(kDataset);
-  std::vector<std::string> keys;
-  for (const auto& name : reader.variable_names()) {
-    const auto info = reader.info(name);
-    for (std::int64_t step = 0; step < info.steps; ++step) {
-      std::size_t n_blocks = 0;
-      try {
-        n_blocks = reader.blocks(name, step).size();
-      } catch (const gs::Error&) {
-        continue;  // scalar variable: no block layout
-      }
-      for (std::size_t b = 0; b < n_blocks; ++b) {
-        keys.push_back(gs::shard::Ring::block_key(name, step, b));
-      }
-    }
-  }
-  return keys;
-}
-
-/// The 5-daemon fleet: every daemon runs from construction; which subset
-/// SERVES is decided by the committed epoch maps alone (s3/s4 start as
-/// standbys the controller may draft).
-struct Fleet {
-  static std::string endpoint_of(std::size_t i) {
-    return "unix:/tmp/gs_ctrl_conv_" + std::to_string(i) + ".sock";
-  }
-
-  static std::shared_ptr<const gs::shard::ShardMap> make_map(
-      std::uint64_t epoch, std::size_t n_shards) {
-    std::vector<gs::shard::ShardInfo> infos;
-    for (std::size_t i = 0; i < n_shards; ++i) {
-      infos.push_back(
-          gs::shard::ShardInfo{"s" + std::to_string(i), endpoint_of(i)});
-    }
-    return std::make_shared<const gs::shard::ShardMap>(epoch, 64,
-                                                       std::move(infos));
-  }
-
-  explicit Fleet(std::shared_ptr<const gs::shard::ShardMap> initial) {
-    for (std::size_t i = 0; i < 5; ++i) {
-      gs::svc::ServiceConfig config;
-      config.threads = 2;
-      config.shard_map = initial;
-      config.shard_id = "s" + std::to_string(i);
-      config.reload_grace_seconds = kGraceSeconds;
-      services.push_back(
-          std::make_unique<gs::svc::Service>(kDataset, std::move(config)));
-      gs::rpc::ServerConfig server_config;
-      server_config.listen = endpoint_of(i);
-      servers.push_back(
-          std::make_unique<gs::rpc::Server>(*services.back(), server_config));
-    }
-    gs::shard::RouterConfig router_config;
-    router_config.probe_interval_ms = 50;
-    router = std::make_unique<gs::shard::Router>(initial, router_config);
-    gs::rpc::ServerConfig front_config;
-    front_config.max_connections = 64;
-    front = std::make_unique<gs::rpc::Server>(*router, front_config);
-  }
-
-  ~Fleet() {
-    if (front) front->shutdown();
-    if (router) router->shutdown();
-    for (auto& s : servers) s->shutdown();
-    for (auto& s : services) s->shutdown();
-  }
-
-  std::vector<std::unique_ptr<gs::svc::Service>> services;
-  std::vector<std::unique_ptr<gs::rpc::Server>> servers;
-  std::unique_ptr<gs::shard::Router> router;
-  std::unique_ptr<gs::rpc::Server> front;
-};
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::size_t scale = argc >= 2 ? std::strtoull(argv[1], nullptr, 10) : 1;
   const double stretch = static_cast<double>(scale ? scale : 1);
-  const bool nonfatal = std::getenv("GS_CTRL_NONFATAL") != nullptr;
-  bool failed = false;
-
-  // A failed relaxable gate is a warning under GS_CTRL_NONFATAL (shared
-  // runners cannot guarantee the wall-clock the trajectory needs); the
-  // correctness gates below never go through this helper.
-  const auto timing_gate = [&](bool ok, const std::string& what) {
-    if (ok) return;
-    if (nonfatal) {
-      std::printf("RELAXED (GS_CTRL_NONFATAL): %s\n", what.c_str());
-    } else {
-      std::printf("FAIL: %s\n", what.c_str());
-      failed = true;
-    }
-  };
 
   std::printf("==============================================================\n");
   std::printf("Extension — gs::ctrl: autonomous resharding convergence gate\n");
   std::printf("==============================================================\n\n");
 
   // Phase 0: dataset, ground truth, and the block-key universe.
-  gs::Settings settings;
-  settings.L = 32;
-  settings.steps = 20;
-  settings.plotgap = 4;
-  settings.noise = 0.1;
-  settings.output = kDataset;
-  settings.ranks_per_node = 4;
-  std::filesystem::remove_all(kDataset);
-  gs::mpi::run(8, [&](gs::mpi::Comm& world) {
-    gs::core::Workflow wf(settings, world);
-    wf.run();
-  });
-  const std::int64_t n_steps = settings.steps / settings.plotgap;
-  const std::int64_t L = settings.L;
-
-  std::vector<std::uint32_t> expected(kQuerySpace);
+  const bench::ScratchDir scratch("ctrl_conv");
+  const bench::Dataset ds = bench::make_dataset(scratch.file("data.bp"));
+  const std::string map_file = scratch.file("map.json");
+  const bench::QueryFn query = [&](std::size_t q) {
+    return bench::make_query(q, ds.n_steps, ds.L, kQuerySeed);
+  };
+  bench::Gates gates("ctrl_convergence");
+  std::vector<std::uint32_t> expected;
   {
-    gs::svc::Service single(kDataset, gs::svc::ServiceConfig{});
-    for (std::size_t q = 0; q < kQuerySpace; ++q) {
-      const auto response = single.call(make_query(q, n_steps, L));
-      if (!response.status.ok()) {
-        std::printf("FAIL: ground-truth query %zu failed: %s\n", q,
-                    response.status.message.c_str());
-        return 1;
-      }
-      expected[q] = identity_crc(response);
-    }
+    gs::svc::Service single(ds.path);
+    expected = bench::ground_truth(single, kQuerySpace, query, gates);
   }
-  const std::vector<std::string> keys = dataset_block_keys();
-  std::printf("dataset: %s  (%zu queries, %zu block keys)\n\n", kDataset,
-              kQuerySpace, keys.size());
+  if (expected.empty()) return gates.report();
+  const std::vector<std::string> keys = bench::dataset_block_keys(ds.path);
+  std::printf("dataset: %s  (%zu queries, %zu block keys)\n\n",
+              ds.path.c_str(), kQuerySpace, keys.size());
 
   // The committed-map history and the warming ledger, both filled by the
   // production-path machinery (commit hook / MapWatcher reloads).
@@ -303,13 +93,10 @@ int main(int argc, char** argv) {
       committed;
   std::map<std::uint64_t, std::uint64_t> warmed;  // epoch -> Σ blocks_planned
 
-  const auto map1 = Fleet::make_map(1, 3);  // serving: s0..s2
+  bench::Fleet fleet(ds.path, scratch.path(), 5, 3);  // serving: s0..s2
+  const auto map1 = fleet.initial;
   committed[1] = map1;
-  std::filesystem::remove(kMapFile);
-  std::filesystem::remove(std::string(kMapFile) + ".staging");
-  gs::shard::commit_map(*map1, kMapFile);
-
-  Fleet fleet(map1);
+  gs::shard::commit_map(*map1, map_file);
 
   // Every daemon and the router adopt committed epochs through their own
   // MapWatcher on the shared file — the controller never pushes a map at
@@ -319,11 +106,10 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<gs::shard::MapWatcher>> watchers;
   for (std::size_t i = 0; i < fleet.services.size(); ++i) {
     watchers.push_back(std::make_unique<gs::shard::MapWatcher>(
-        kMapFile,
+        map_file,
         [&fleet, &ledger_mu, &warmed, i](gs::shard::ShardMap m) {
-          auto next =
-              std::make_shared<const gs::shard::ShardMap>(std::move(m));
-          const auto stats = fleet.services[i]->reload_shard_map(next);
+          const auto stats = fleet.reload(
+              i, std::make_shared<const gs::shard::ShardMap>(std::move(m)));
           {
             std::lock_guard<std::mutex> lock(ledger_mu);
             warmed[stats.epoch_to] += stats.blocks_planned;
@@ -333,7 +119,7 @@ int main(int argc, char** argv) {
         watcher_config));
   }
   watchers.push_back(std::make_unique<gs::shard::MapWatcher>(
-      kMapFile,
+      map_file,
       [&fleet](gs::shard::ShardMap m) {
         return fleet.router
             ->reload_map(
@@ -361,9 +147,8 @@ int main(int argc, char** argv) {
       };
 
   gs::ctrl::ControllerConfig config;
-  config.map_path = kMapFile;
-  config.spares = {{"s3", Fleet::endpoint_of(3)},
-                   {"s4", Fleet::endpoint_of(4)}};
+  config.map_path = map_file;
+  config.spares = {{"s3", fleet.endpoint(3)}, {"s4", fleet.endpoint(4)}};
   config.router = gs::shard::ShardInfo{"router", fleet.front->endpoint().str()};
   config.block_keys = keys;
   config.converge_timeout_seconds = 30.0 * stretch;
@@ -380,7 +165,7 @@ int main(int argc, char** argv) {
   config.policy.max_shards = 5;
 
   const gs::ctrl::CommitHook hook = [&](const gs::shard::ShardMap& m) {
-    gs::shard::commit_map(m, kMapFile);
+    gs::shard::commit_map(m, map_file);
     std::lock_guard<std::mutex> lock(ledger_mu);
     committed[m.epoch()] = std::make_shared<const gs::shard::ShardMap>(m);
   };
@@ -394,13 +179,13 @@ int main(int argc, char** argv) {
 
   // Client traffic hammers the wire path for the whole run.
   std::atomic<bool> stop{false};
-  std::vector<PassResult> thread_results(2);
+  std::vector<bench::PassResult> thread_results(2);
   std::vector<std::thread> traffic;
   for (std::size_t t = 0; t < thread_results.size(); ++t) {
     traffic.emplace_back([&, t] {
       while (!stop.load(std::memory_order_acquire)) {
         thread_results[t].merge(
-            sweep_wire(fleet.front->endpoint(), expected, n_steps, L));
+            bench::sweep_wire(fleet.front->endpoint(), 1, expected, query));
       }
     });
   }
@@ -439,8 +224,8 @@ int main(int argc, char** argv) {
                 (unsigned long long)stats.ticks,
                 (unsigned long long)stats.holds,
                 (unsigned long long)stats.epochs_committed);
-    timing_gate(stats.epochs_committed == 0,
-                "steady in-band load must commit zero epochs");
+    gates.relaxable("steady in-band load commits zero epochs",
+                    stats.epochs_committed == 0);
   }
 
   // Pass 2: ramp up. 9.6 total = 3.2/shard at 3 (saturated), 2.4 at 4
@@ -456,10 +241,9 @@ int main(int argc, char** argv) {
                 controller.map()->size(),
                 (unsigned long long)controller.map()->epoch(),
                 (unsigned long long)stats.grows, stats.last_reason.c_str());
-    timing_gate(grew, "controller must grow 3 -> 5 under sustained "
-                      "saturation and converge");
-    timing_gate(stats.converge_timeouts == 0,
-                "ramp up saw convergence timeouts");
+    gates.relaxable("grows 3 -> 5 under saturation and converges", grew);
+    gates.relaxable("ramp up: zero convergence timeouts",
+                    stats.converge_timeouts == 0);
   }
 
   // Pass 3: ramp down. 0.9 total = 0.18/shard at 5 (idle), 0.225 at 4,
@@ -474,10 +258,9 @@ int main(int argc, char** argv) {
                 controller.map()->size(),
                 (unsigned long long)controller.map()->epoch(),
                 (unsigned long long)stats.shrinks, stats.last_reason.c_str());
-    timing_gate(shrank, "controller must shrink 5 -> 3 under sustained "
-                        "idling and converge");
-    timing_gate(stats.converge_timeouts == 0,
-                "ramp down saw convergence timeouts");
+    gates.relaxable("shrinks 5 -> 3 when idle and converges", shrank);
+    gates.relaxable("ramp down: zero convergence timeouts",
+                    stats.converge_timeouts == 0);
   }
 
   // Pass 4: steady again at the final membership — quiet means quiet.
@@ -485,26 +268,19 @@ int main(int argc, char** argv) {
   offered_load = 3.0;
   const std::uint64_t epochs_before = controller.stats().epochs_committed;
   run_until(now_s() + 2.0 * stretch, [] { return false; });
-  timing_gate(controller.stats().epochs_committed == epochs_before,
-              "steady load after the cycle must commit zero epochs");
+  gates.relaxable("steady load after the cycle commits zero epochs",
+                  controller.stats().epochs_committed == epochs_before);
 
   stop.store(true, std::memory_order_release);
   for (auto& t : traffic) t.join();
-  PassResult live;
+  bench::PassResult live;
   for (const auto& r : thread_results) live.merge(r);
 
   // Gate: zero wrong answers across the ENTIRE autonomous cycle. This is
   // the correctness gate — never relaxed.
-  std::printf("\nlive traffic: exact=%llu degraded=%llu wrong=%llu "
-              "failed=%llu\n",
-              (unsigned long long)live.exact,
-              (unsigned long long)live.degraded,
-              (unsigned long long)live.wrong, (unsigned long long)live.failed);
-  if (live.wrong != 0 || live.exact == 0) {
-    std::printf("FAIL: the autonomous cycle must keep every answer right "
-                "and keep answering\n");
-    failed = true;
-  }
+  std::printf("\nlive traffic: %s\n", live.counts().c_str());
+  gates.check("autonomous cycle: zero wrong answers, keeps answering",
+              live.wrong == 0 && live.exact != 0, live.counts());
 
   // Gate: epoch accounting. Expected trajectory 1 -> 5 (two grows, two
   // shrinks); the budget is the controller's own cap.
@@ -517,8 +293,9 @@ int main(int argc, char** argv) {
               (unsigned long long)stats.evicts, kEpochBudget,
               (unsigned long long)stats.converged,
               (unsigned long long)stats.converge_timeouts);
-  timing_gate(stats.epochs_committed <= static_cast<std::uint64_t>(kEpochBudget),
-              "controller exceeded its own epoch budget");
+  gates.relaxable(
+      "epochs committed within the controller's budget",
+      stats.epochs_committed <= static_cast<std::uint64_t>(kEpochBudget));
 
   // Gate: per transition, the daemons' summed replacement plans must
   // equal the ring's minimal-movement diff exactly. Correctness — never
@@ -528,11 +305,12 @@ int main(int argc, char** argv) {
     std::lock_guard<std::mutex> lock(ledger_mu);
     for (const auto& [epoch, map] : committed) {
       if (epoch == 1) continue;
+      const std::string gate =
+          bench::fmt("epoch %llu: warmed == ring movement bound",
+                     (unsigned long long)epoch);
       const auto prev = committed.find(epoch - 1);
       if (prev == committed.end()) {
-        std::printf("FAIL: epoch %llu committed without a predecessor\n",
-                    (unsigned long long)epoch);
-        failed = true;
+        gates.check(gate, false, "committed without a predecessor");
         continue;
       }
       const std::size_t bound =
@@ -545,16 +323,14 @@ int main(int argc, char** argv) {
                   "movement bound %zu\n",
                   (unsigned long long)epoch, map->size(),
                   (unsigned long long)planned, bound);
-      if (planned != bound || bound == 0) {
-        std::printf("FAIL: warming violates the ring's minimal-movement "
-                    "bound\n");
-        failed = true;
-      }
+      gates.check(gate, planned == bound && bound != 0,
+                  bench::fmt("warmed %llu, bound %zu",
+                             (unsigned long long)planned, bound));
     }
   }
 
   watchers.clear();  // stop adoption before the fleet tears down
-
-  std::printf("\n%s\n", failed ? "RESULT: FAIL" : "RESULT: PASS");
-  return failed ? 1 : 0;
+  return gates.report();
+} catch (const std::exception& e) {
+  return gs::bench::uncaught(e);
 }

@@ -41,14 +41,8 @@
 #include <thread>
 #include <vector>
 
-#include "bp/reader.h"
-#include "common/checksum.h"
-#include "core/workflow.h"
+#include "bench/harness.h"
 #include "fault/fault.h"
-#include "mpi/runtime.h"
-#include "rpc/client.h"
-#include "rpc/server.h"
-#include "rpc/wire.h"
 #include "shard/map.h"
 #include "shard/reshard.h"
 #include "shard/router.h"
@@ -56,273 +50,68 @@
 
 namespace {
 
-constexpr const char* kDataset = "/tmp/gs_reshard.bp";
-constexpr const char* kMapFile = "/tmp/gs_reshard_map.json";
+namespace bench = gs::bench;
+
 constexpr std::size_t kQuerySpace = 48;
-constexpr double kGraceSeconds = 2.0;
-
-struct Lcg {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  }
-};
-
-gs::svc::Request make_query(std::size_t q, std::int64_t n_steps,
-                            std::int64_t L) {
-  Lcg rng{0xE90C4BADF00Dull ^ (q * 2654435761ull)};
-  const std::int64_t step = static_cast<std::int64_t>(
-      rng.next() % static_cast<std::uint64_t>(n_steps));
-  gs::svc::Request request;
-  switch (q % 5) {
-    case 0:
-      request.body = gs::svc::ListVariablesQ{};
-      break;
-    case 1:
-      request.body = gs::svc::FieldStatsQ{q % 2 ? "U" : "V", step};
-      break;
-    case 2:
-      request.body = gs::svc::HistogramQ{q % 2 ? "V" : "U", step, 32};
-      break;
-    case 3:
-      request.body = gs::svc::Slice2DQ{
-          "U", step, 2,
-          static_cast<std::int64_t>(rng.next() %
-                                    static_cast<std::uint64_t>(L))};
-      break;
-    default: {
-      const std::int64_t half = L / 2;
-      request.body = gs::svc::ReadBoxQ{
-          "V", step,
-          gs::Box3{{0, 0,
-                    static_cast<std::int64_t>(
-                        rng.next() % static_cast<std::uint64_t>(half))},
-                   {half, half, half}}};
-      break;
-    }
-  }
-  return request;
-}
-
-std::uint32_t identity_crc(const gs::svc::Response& response) {
-  const auto bytes = gs::rpc::encode_answer_identity(response);
-  return gs::crc32(std::span<const std::byte>(bytes.data(), bytes.size()));
-}
-
-struct PassResult {
-  std::uint64_t exact = 0;
-  std::uint64_t degraded = 0;  ///< explicitly flagged — never silent
-  std::uint64_t wrong = 0;     ///< mismatched WITHOUT a flag: the cardinal sin
-  std::uint64_t failed = 0;
-  std::string sample_degraded;  ///< one degraded status message, for naming
-
-  void add(const gs::svc::Response& response,
-           const std::vector<std::uint32_t>& expected, std::size_t q) {
-    if (response.status.ok() && !response.degraded &&
-        identity_crc(response) == expected[q]) {
-      ++exact;
-    } else if (response.degraded || !response.status.ok()) {
-      ++degraded;
-      if (sample_degraded.empty()) sample_degraded = response.status.message;
-    } else {
-      ++wrong;
-      std::printf("WRONG: query %zu answered ok+undegraded with a "
-                  "mismatched identity\n",
-                  q);
-    }
-  }
-
-  void merge(const PassResult& other) {
-    exact += other.exact;
-    degraded += other.degraded;
-    wrong += other.wrong;
-    failed += other.failed;
-    if (sample_degraded.empty()) sample_degraded = other.sample_degraded;
-  }
-};
+constexpr std::uint64_t kQuerySeed = 0xE90C4BADF00Dull;
 
 /// One full sweep of the query space straight through a Router.
-PassResult sweep_router(gs::shard::Router& router,
-                        const std::vector<std::uint32_t>& expected,
-                        std::int64_t n_steps, std::int64_t L) {
-  PassResult result;
+bench::PassResult sweep_router(gs::shard::Router& router,
+                               const std::vector<std::uint32_t>& expected,
+                               const bench::QueryFn& query) {
+  bench::PassResult result;
   for (std::size_t q = 0; q < kQuerySpace; ++q) {
-    result.add(router.call(make_query(q, n_steps, L)), expected, q);
+    result.add(router.call(query(q)), expected, q);
   }
   return result;
 }
-
-/// `rounds` sweeps through the wire path (rpc::Client -> front server).
-PassResult sweep_wire(const gs::rpc::Endpoint& endpoint, std::size_t rounds,
-                      const std::vector<std::uint32_t>& expected,
-                      std::int64_t n_steps, std::int64_t L) {
-  PassResult result;
-  gs::rpc::ClientConfig config;
-  config.retries = 6;
-  config.backoff_ms = 1.0;
-  gs::rpc::Client client(endpoint, config);
-  for (std::size_t round = 0; round < rounds; ++round) {
-    for (std::size_t q = 0; q < kQuerySpace; ++q) {
-      try {
-        result.add(client.call(make_query(q, n_steps, L)), expected, q);
-      } catch (const gs::IoError&) {
-        ++result.failed;
-      }
-    }
-  }
-  return result;
-}
-
-/// Every block key of the dataset — the universe the ring-movement bound
-/// is computed over (mirrors Service::reload_shard_map's plan walk).
-std::vector<std::string> dataset_block_keys() {
-  gs::bp::Reader reader(kDataset);
-  std::vector<std::string> keys;
-  for (const auto& name : reader.variable_names()) {
-    const auto info = reader.info(name);
-    for (std::int64_t step = 0; step < info.steps; ++step) {
-      std::size_t n_blocks = 0;
-      try {
-        n_blocks = reader.blocks(name, step).size();
-      } catch (const gs::Error&) {
-        continue;  // scalar variable: no block layout
-      }
-      for (std::size_t b = 0; b < n_blocks; ++b) {
-        keys.push_back(gs::shard::Ring::block_key(name, step, b));
-      }
-    }
-  }
-  return keys;
-}
-
-/// The 5-daemon fleet: every daemon runs from construction; which subset
-/// SERVES is decided by the epoch maps alone. Daemons keep their own
-/// epochs (reload_service flips one), the router its own.
-struct Fleet {
-  static std::string endpoint_of(std::size_t i) {
-    return "unix:/tmp/gs_reshard_" + std::to_string(i) + ".sock";
-  }
-
-  static std::shared_ptr<const gs::shard::ShardMap> make_map(
-      std::uint64_t epoch, std::size_t n_shards) {
-    std::vector<gs::shard::ShardInfo> infos;
-    for (std::size_t i = 0; i < n_shards; ++i) {
-      infos.push_back(
-          gs::shard::ShardInfo{"s" + std::to_string(i), endpoint_of(i)});
-    }
-    return std::make_shared<const gs::shard::ShardMap>(epoch, 64,
-                                                       std::move(infos));
-  }
-
-  explicit Fleet(std::shared_ptr<const gs::shard::ShardMap> initial) {
-    for (std::size_t i = 0; i < 5; ++i) {
-      gs::svc::ServiceConfig config;
-      config.threads = 2;
-      config.shard_map = initial;
-      config.shard_id = "s" + std::to_string(i);
-      config.reload_grace_seconds = kGraceSeconds;
-      services.push_back(
-          std::make_unique<gs::svc::Service>(kDataset, std::move(config)));
-      gs::rpc::ServerConfig server_config;
-      server_config.listen = endpoint_of(i);
-      auto server =
-          std::make_unique<gs::rpc::Server>(*services.back(), server_config);
-      servers.push_back(std::move(server));
-    }
-    gs::shard::RouterConfig router_config;
-    router_config.probe_interval_ms = 50;
-    router = std::make_unique<gs::shard::Router>(initial, router_config);
-    start_front();
-  }
-
-  ~Fleet() {
-    if (front) front->shutdown();
-    if (router) router->shutdown();
-    for (auto& s : servers) s->shutdown();
-    for (auto& s : services) s->shutdown();
-  }
-
-  void start_front() {
-    gs::rpc::ServerConfig front_config;
-    front_config.max_connections = 64;
-    front = std::make_unique<gs::rpc::Server>(*router, front_config);
-  }
-
-  gs::shard::ReplacementStats reload_service(
-      std::size_t i, std::shared_ptr<const gs::shard::ShardMap> next) {
-    return services[i]->reload_shard_map(std::move(next));
-  }
-
-  std::vector<std::unique_ptr<gs::svc::Service>> services;
-  std::vector<std::unique_ptr<gs::rpc::Server>> servers;
-  std::unique_ptr<gs::shard::Router> router;
-  std::unique_ptr<gs::rpc::Server> front;
-};
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::size_t scale = argc >= 2 ? std::strtoull(argv[1], nullptr, 10) : 1;
   const std::size_t rounds = 2 * (scale ? scale : 1);
-  bool failed = false;
 
   std::printf("==============================================================\n");
   std::printf("Extension — gs::shard epoch handover: live resharding gate\n");
   std::printf("==============================================================\n\n");
 
   // Phase 1: dataset, ground truth, and the block-key universe.
-  gs::Settings settings;
-  settings.L = 32;
-  settings.steps = 20;
-  settings.plotgap = 4;
-  settings.noise = 0.1;
-  settings.output = kDataset;
-  settings.ranks_per_node = 4;
-  std::filesystem::remove_all(kDataset);
-  gs::mpi::run(8, [&](gs::mpi::Comm& world) {
-    gs::core::Workflow wf(settings, world);
-    wf.run();
-  });
-  const std::int64_t n_steps = settings.steps / settings.plotgap;
-  const std::int64_t L = settings.L;
-
-  std::vector<std::uint32_t> expected(kQuerySpace);
+  const bench::ScratchDir scratch("reshard");
+  const bench::Dataset ds = bench::make_dataset(scratch.file("data.bp"));
+  const std::string map_file = scratch.file("map.json");
+  const bench::QueryFn query = [&](std::size_t q) {
+    return bench::make_query(q, ds.n_steps, ds.L, kQuerySeed);
+  };
+  bench::Gates gates("reshard");
+  std::vector<std::uint32_t> expected;
   {
-    gs::svc::Service single(kDataset, gs::svc::ServiceConfig{});
-    for (std::size_t q = 0; q < kQuerySpace; ++q) {
-      const auto response = single.call(make_query(q, n_steps, L));
-      if (!response.status.ok()) {
-        std::printf("FAIL: ground-truth query %zu failed: %s\n", q,
-                    response.status.message.c_str());
-        return 1;
-      }
-      expected[q] = identity_crc(response);
-    }
+    gs::svc::Service single(ds.path);
+    expected = bench::ground_truth(single, kQuerySpace, query, gates);
   }
-  const std::vector<std::string> keys = dataset_block_keys();
-  std::printf("dataset: %s  (%zu queries, %zu block keys)\n\n", kDataset,
-              kQuerySpace, keys.size());
+  if (expected.empty()) return gates.report();
+  const std::vector<std::string> keys = bench::dataset_block_keys(ds.path);
+  std::printf("dataset: %s  (%zu queries, %zu block keys)\n\n",
+              ds.path.c_str(), kQuerySpace, keys.size());
 
-  const auto map1 = Fleet::make_map(1, 4);  // serving: s0..s3
-  const auto map2 = Fleet::make_map(2, 5);  // grow:    s0..s4
-  const auto map3 = Fleet::make_map(3, 3);  // shrink:  s0..s2
-  const auto map4 = Fleet::make_map(4, 4);  // chaos:   s0..s3
-
-  Fleet fleet(map1);
+  bench::Fleet fleet(ds.path, scratch.path(), 5, 4);
+  const auto map1 = fleet.initial;          // serving: s0..s3
+  const auto map2 = fleet.make_map(2, 5);  // grow:    s0..s4
+  const auto map3 = fleet.make_map(3, 3);  // shrink:  s0..s2
+  const auto map4 = fleet.make_map(4, 4);  // chaos:   s0..s3
 
   // Phase 2: live grow 4 -> 5 under client traffic. Daemons flip first
   // (s1 deliberately never acks), the router flips last.
   {
     std::printf("-- live grow 4 -> 5 (epoch 1 -> 2), s1 never acks --\n");
     std::atomic<bool> stop{false};
-    std::vector<PassResult> thread_results(2);
+    std::vector<bench::PassResult> thread_results(2);
     std::vector<std::thread> traffic;
     for (std::size_t t = 0; t < thread_results.size(); ++t) {
       traffic.emplace_back([&, t] {
         while (!stop.load(std::memory_order_acquire)) {
-          thread_results[t].merge(sweep_wire(fleet.front->endpoint(), 1,
-                                             expected, n_steps, L));
+          thread_results[t].merge(
+              bench::sweep_wire(fleet.front->endpoint(), 1, expected, query));
         }
       });
     }
@@ -330,13 +119,12 @@ int main(int argc, char** argv) {
 
     std::uint64_t planned_sum = 0;
     for (const std::size_t i : {0u, 2u, 3u, 4u}) {
-      const auto stats = fleet.reload_service(i, map2);
+      const auto stats = fleet.reload(i, map2);
       planned_sum += stats.blocks_planned;
-      if (stats.blocks_failed != 0) {
-        std::printf("FAIL: clean grow warmed with %llu failures on s%zu\n",
-                    (unsigned long long)stats.blocks_failed, i);
-        failed = true;
-      }
+      gates.check(bench::fmt("grow: s%zu warms without failures", i),
+                  stats.blocks_failed == 0,
+                  bench::fmt("%llu blocks failed",
+                             (unsigned long long)stats.blocks_failed));
     }
     const auto handover = fleet.router->reload_map(map2);
     std::printf("router: epoch %llu -> %llu, +%zu shards, %s in %.3fs\n",
@@ -350,64 +138,45 @@ int main(int argc, char** argv) {
     }
     stop.store(true, std::memory_order_release);
     for (auto& t : traffic) t.join();
-    PassResult live;
+    bench::PassResult live;
     for (const auto& r : thread_results) live.merge(r);
-    std::printf("live traffic: exact=%llu degraded=%llu wrong=%llu "
-                "failed=%llu\n",
-                (unsigned long long)live.exact,
-                (unsigned long long)live.degraded,
-                (unsigned long long)live.wrong,
-                (unsigned long long)live.failed);
-    if (live.wrong != 0 || live.exact == 0) {
-      std::printf("FAIL: live grow must keep every answer right and keep "
-                  "answering\n");
-      failed = true;
-    }
-    if (!handover.drained) {
-      std::printf("FAIL: grow abandoned %llu in-flight queries\n",
-                  (unsigned long long)handover.inflight_abandoned);
-      failed = true;
-    }
+    std::printf("live traffic: %s\n", live.counts().c_str());
+    gates.check("live grow: zero wrong answers, keeps answering",
+                live.wrong == 0 && live.exact != 0, live.counts());
+    gates.check("live grow: router drains in-flight queries",
+                handover.drained,
+                bench::fmt("abandoned %llu",
+                           (unsigned long long)handover.inflight_abandoned));
 
     // Past the grace window, s1 still refuses epoch 2. Failover keeps
     // the fleet exact; a no-failover router must NAME the missing shard.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(static_cast<int>(kGraceSeconds * 1000) +
-                                  500));
-    const auto fo = sweep_router(*fleet.router, expected, n_steps, L);
-    std::printf("failover sweep past grace: exact=%llu degraded=%llu "
-                "wrong=%llu (failovers=%llu)\n",
-                (unsigned long long)fo.exact, (unsigned long long)fo.degraded,
-                (unsigned long long)fo.wrong,
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        static_cast<int>(bench::kReloadGraceSeconds * 1000) + 500));
+    const auto fo = sweep_router(*fleet.router, expected, query);
+    std::printf("failover sweep past grace: %s (failovers=%llu)\n",
+                fo.counts().c_str(),
                 (unsigned long long)fleet.router->stats().failovers);
-    if (fo.exact != kQuerySpace || fo.wrong != 0) {
-      std::printf("FAIL: failover must keep a non-acking shard invisible\n");
-      failed = true;
-    }
+    gates.check("failover keeps a non-acking shard invisible",
+                fo.exact == kQuerySpace, fo.counts());
     {
       gs::shard::RouterConfig no_failover;
       no_failover.failover = false;
       no_failover.probe_interval_ms = 0;
       gs::shard::Router blunt(map2, no_failover);
-      const auto nf = sweep_router(blunt, expected, n_steps, L);
-      std::printf("no-failover sweep: exact=%llu degraded=%llu wrong=%llu "
-                  "(\"%s\")\n",
-                  (unsigned long long)nf.exact,
-                  (unsigned long long)nf.degraded,
-                  (unsigned long long)nf.wrong, nf.sample_degraded.c_str());
-      if (nf.wrong != 0 || nf.degraded == 0 ||
-          nf.sample_degraded.find("s1") == std::string::npos) {
-        std::printf("FAIL: the non-acking shard must be degraded-not-wrong "
-                    "and NAMED\n");
-        failed = true;
-      }
+      const auto nf = sweep_router(blunt, expected, query);
+      std::printf("no-failover sweep: %s (\"%s\")\n", nf.counts().c_str(),
+                  nf.sample_degraded.c_str());
+      gates.check("no-failover: non-acking shard degraded-not-wrong, named",
+                  nf.wrong == 0 && nf.degraded != 0 &&
+                      nf.sample_degraded.find("s1") != std::string::npos,
+                  nf.counts());
       blunt.shutdown();
     }
 
     // s1 finally acks; the fleet must be whole again and the summed
     // replacement plans must equal the ring's minimal-movement diff.
-    planned_sum += fleet.reload_service(1, map2).blocks_planned;
-    const auto whole = sweep_router(*fleet.router, expected, n_steps, L);
+    planned_sum += fleet.reload(1, map2).blocks_planned;
+    const auto whole = sweep_router(*fleet.router, expected, query);
     const std::size_t bound =
         gs::shard::moved_keys(gs::shard::Ring(*map1), gs::shard::Ring(*map2),
                               std::span<const std::string>(keys))
@@ -416,15 +185,12 @@ int main(int argc, char** argv) {
                 "blocks vs ring movement bound %zu\n",
                 (unsigned long long)whole.exact, kQuerySpace,
                 (unsigned long long)planned_sum, bound);
-    if (whole.exact != kQuerySpace) {
-      std::printf("FAIL: fleet not exact after the late ack\n");
-      failed = true;
-    }
-    if (planned_sum != bound || bound == 0) {
-      std::printf("FAIL: replacement plans violate the ring's "
-                  "minimal-movement bound\n");
-      failed = true;
-    }
+    gates.check("grow: fleet exact after the late ack",
+                whole.exact == kQuerySpace, whole.counts());
+    gates.check("grow: planned == ring movement bound",
+                planned_sum == bound && bound != 0,
+                bench::fmt("planned %llu, bound %zu",
+                           (unsigned long long)planned_sum, bound));
     std::printf("\n");
   }
 
@@ -439,16 +205,16 @@ int main(int argc, char** argv) {
 
     std::uint64_t planned_sum = 0;
     for (const std::size_t i : {0u, 1u, 2u}) {
-      planned_sum += fleet.reload_service(i, map3).blocks_planned;
+      planned_sum += fleet.reload(i, map3).blocks_planned;
     }
     // Inside the grace window the stale client still gets exact answers.
-    const auto inside = sweep_router(stale, expected, n_steps, L);
+    const auto inside = sweep_router(stale, expected, query);
     const auto handover = fleet.router->reload_map(map3);
     std::printf("router: epoch %llu -> %llu, -%zu shards\n",
                 (unsigned long long)handover.epoch_from,
                 (unsigned long long)handover.epoch_to,
                 handover.shards_removed);
-    const auto fresh = sweep_router(*fleet.router, expected, n_steps, L);
+    const auto fresh = sweep_router(*fleet.router, expected, query);
     const std::size_t bound =
         gs::shard::moved_keys(gs::shard::Ring(*map2), gs::shard::Ring(*map3),
                               std::span<const std::string>(keys))
@@ -458,36 +224,25 @@ int main(int argc, char** argv) {
                 (unsigned long long)inside.exact, kQuerySpace,
                 (unsigned long long)fresh.exact, kQuerySpace,
                 (unsigned long long)planned_sum, bound);
-    if (inside.exact != kQuerySpace || inside.wrong != 0) {
-      std::printf("FAIL: grace window must keep the stale client exact\n");
-      failed = true;
-    }
-    if (fresh.exact != kQuerySpace) {
-      std::printf("FAIL: shrunk fleet must stay exact\n");
-      failed = true;
-    }
-    if (planned_sum != bound || bound == 0) {
-      std::printf("FAIL: shrink replacement plans violate the movement "
-                  "bound\n");
-      failed = true;
-    }
+    gates.check("grace window keeps the stale client exact",
+                inside.exact == kQuerySpace, inside.counts());
+    gates.check("shrunk fleet stays exact", fresh.exact == kQuerySpace,
+                fresh.counts());
+    gates.check("shrink: planned == ring movement bound",
+                planned_sum == bound && bound != 0,
+                bench::fmt("planned %llu, bound %zu",
+                           (unsigned long long)planned_sum, bound));
 
     // Past the grace window the stale client must degrade EXPLICITLY —
     // never answer silently stale.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(static_cast<int>(kGraceSeconds * 1000) +
-                                  500));
-    const auto outside = sweep_router(stale, expected, n_steps, L);
-    std::printf("past grace: stale client exact=%llu degraded=%llu "
-                "wrong=%llu (\"%s\")\n",
-                (unsigned long long)outside.exact,
-                (unsigned long long)outside.degraded,
-                (unsigned long long)outside.wrong,
-                outside.sample_degraded.c_str());
-    if (outside.wrong != 0 || outside.degraded == 0) {
-      std::printf("FAIL: a stale-epoch client must degrade, not lie\n");
-      failed = true;
-    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        static_cast<int>(bench::kReloadGraceSeconds * 1000) + 500));
+    const auto outside = sweep_router(stale, expected, query);
+    std::printf("past grace: stale client %s (\"%s\")\n",
+                outside.counts().c_str(), outside.sample_degraded.c_str());
+    gates.check("past grace: a stale-epoch client degrades, never lies",
+                outside.wrong == 0 && outside.degraded != 0,
+                outside.counts());
     stale.shutdown();
     std::printf("\n");
   }
@@ -495,9 +250,7 @@ int main(int argc, char** argv) {
   // Phase 4: chaos on the committed map file and the handover itself.
   {
     std::printf("-- chaos: torn writes, mid-commit and mid-drain kills --\n");
-    std::filesystem::remove(kMapFile);
-    std::filesystem::remove(std::string(kMapFile) + ".staging");
-    gs::shard::commit_map(*map3, kMapFile);  // the committed state: epoch 3
+    gs::shard::commit_map(*map3, map_file);  // the committed state: epoch 3
 
     // (a) Torn write: the corrupted candidate must be REJECTED and the
     // old epoch must keep serving.
@@ -506,13 +259,13 @@ int main(int argc, char** argv) {
       plan.arm("shard.reload", 0,
                gs::fault::Injection{gs::fault::Kind::corrupt, 0.0, 0x40, 0});
       gs::fault::ScopedPlan scoped(plan);
-      gs::shard::commit_map(*map4, kMapFile);  // commits torn bytes
+      gs::shard::commit_map(*map4, map_file);  // commits torn bytes
     }
     {
       gs::shard::WatcherConfig watch_config;
       watch_config.poll_ms = 0;  // explicit triggers only
       gs::shard::MapWatcher watcher(
-          kMapFile,
+          map_file,
           [&](gs::shard::ShardMap next) {
             return fleet.router
                 ->reload_map(std::make_shared<const gs::shard::ShardMap>(
@@ -527,50 +280,43 @@ int main(int argc, char** argv) {
                   (unsigned long long)wstats.rejected,
                   wstats.last_error.c_str(),
                   (unsigned long long)fleet.router->map()->epoch());
-      if (wstats.rejected == 0 || fleet.router->map()->epoch() != 3) {
-        std::printf("FAIL: a torn map must be rejected with the old epoch "
-                    "serving\n");
-        failed = true;
-      }
+      gates.check("torn map rejected, old epoch serving",
+                  wstats.rejected != 0 && fleet.router->map()->epoch() == 3);
     }
-    const auto after_torn = sweep_router(*fleet.router, expected, n_steps, L);
-    if (after_torn.exact != kQuerySpace) {
-      std::printf("FAIL: fleet not exact after the torn-write rejection\n");
-      failed = true;
-    }
+    const auto after_torn = sweep_router(*fleet.router, expected, query);
+    gates.check("fleet exact after the torn-write rejection",
+                after_torn.exact == kQuerySpace, after_torn.counts());
 
     // (b) Kill between staging write and rename: exactly ONE committed
     // epoch either side of the crash; recover_map removes the orphan.
-    gs::shard::commit_map(*map3, kMapFile);  // restore a clean epoch 3
+    gs::shard::commit_map(*map3, map_file);  // restore a clean epoch 3
     bool killed = false;
     try {
       gs::fault::Plan plan;
       plan.arm("shard.reload", 1,
                gs::fault::Injection{gs::fault::Kind::kill});
       gs::fault::ScopedPlan scoped(plan);
-      gs::shard::commit_map(*map4, kMapFile);
+      gs::shard::commit_map(*map4, map_file);
     } catch (const gs::fault::Kill&) {
       killed = true;
     }
-    const auto committed = gs::shard::ShardMap::from_file(kMapFile);
-    const bool staging_left = std::filesystem::exists(
-        std::string(kMapFile) + ".staging");
-    const bool recovered = gs::shard::recover_map(kMapFile);
+    const auto committed = gs::shard::ShardMap::from_file(map_file);
+    const bool staging_left =
+        std::filesystem::exists(map_file + ".staging");
+    const bool recovered = gs::shard::recover_map(map_file);
     std::printf("mid-commit kill: killed=%d, committed epoch=%llu, staging "
                 "recovered=%d\n",
                 killed ? 1 : 0, (unsigned long long)committed.epoch(),
                 (staging_left && recovered) ? 1 : 0);
-    if (!killed || committed.epoch() != 3 || !staging_left || !recovered) {
-      std::printf("FAIL: a mid-commit crash must leave exactly one "
-                  "committed epoch\n");
-      failed = true;
-    }
+    gates.check("mid-commit crash leaves exactly one committed epoch",
+                killed && committed.epoch() == 3 && staging_left &&
+                    recovered);
 
     // (c) Warm-up failure + mid-drain kill. The daemons adopt epoch 4
     // with one block warm FAILING (degrades the warm-up, never the
     // answers); the router is killed between publish and drain, then
     // "restarts" from the committed map. The final sweep must be exact.
-    gs::shard::commit_map(*map4, kMapFile);
+    gs::shard::commit_map(*map4, map_file);
     std::uint64_t warm_failures = 0;
     bool drain_killed = false;
     {
@@ -580,9 +326,9 @@ int main(int argc, char** argv) {
       plan.arm("shard.drain", 0, gs::fault::Injection{gs::fault::Kind::kill});
       gs::fault::ScopedPlan scoped(plan);
       const auto from_disk = std::make_shared<const gs::shard::ShardMap>(
-          gs::shard::ShardMap::from_file(kMapFile));
+          gs::shard::ShardMap::from_file(map_file));
       for (const std::size_t i : {0u, 1u, 2u, 3u}) {
-        warm_failures += fleet.reload_service(i, from_disk).blocks_failed;
+        warm_failures += fleet.reload(i, from_disk).blocks_failed;
       }
       try {
         fleet.router->reload_map(from_disk);
@@ -595,32 +341,24 @@ int main(int argc, char** argv) {
     fleet.router->shutdown();
     fleet.router = std::make_unique<gs::shard::Router>(
         std::make_shared<const gs::shard::ShardMap>(
-            gs::shard::ShardMap::from_file(kMapFile)),
+            gs::shard::ShardMap::from_file(map_file)),
         gs::shard::RouterConfig{});
     fleet.start_front();
     const auto final_sweep =
-        sweep_wire(fleet.front->endpoint(), 1, expected, n_steps, L);
+        bench::sweep_wire(fleet.front->endpoint(), 1, expected, query);
     std::printf("mid-drain kill: warm failures=%llu, drain killed=%d, "
                 "restarted epoch=%llu, final sweep exact=%llu/%zu\n",
                 (unsigned long long)warm_failures, drain_killed ? 1 : 0,
                 (unsigned long long)fleet.router->map()->epoch(),
                 (unsigned long long)final_sweep.exact, kQuerySpace);
-    if (warm_failures == 0) {
-      std::printf("FAIL: the shard.replace fault never fired — gate is "
-                  "vacuous\n");
-      failed = true;
-    }
-    if (!drain_killed || fleet.router->map()->epoch() != 4 ||
-        final_sweep.exact != kQuerySpace || final_sweep.wrong != 0) {
-      std::printf("FAIL: a mid-drain crash must recover to the committed "
-                  "epoch with exact answers\n");
-      failed = true;
-    }
+    gates.check("the shard.replace fault fired", warm_failures != 0,
+                "never fired: the gate is vacuous");
+    gates.check("mid-drain crash recovers to the committed epoch, exact",
+                drain_killed && fleet.router->map()->epoch() == 4 &&
+                    final_sweep.exact == kQuerySpace,
+                final_sweep.counts());
   }
-
-  std::filesystem::remove(kMapFile);
-  std::filesystem::remove(std::string(kMapFile) + ".staging");
-  std::filesystem::remove_all(kDataset);
-  std::printf("\n%s\n", failed ? "FAILED" : "OK");
-  return failed ? 1 : 0;
+  return gates.report();
+} catch (const std::exception& e) {
+  return gs::bench::uncaught(e);
 }

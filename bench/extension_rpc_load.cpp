@@ -36,31 +36,28 @@
 //   * chaos pass observed at least one injected fault (else it tested
 //     nothing), and the server counted it,
 //   * clean drain after every pass.
+// Every gate is fatal.
 //
 // Default scale finishes in seconds (CI smoke); pass a multiplier to
 // scale requests per client, e.g. `extension_rpc_load 4`.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/checksum.h"
+#include "bench/harness.h"
 #include "common/format.h"
-#include "common/stats.h"
-#include "core/workflow.h"
 #include "fault/fault.h"
-#include "mpi/runtime.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
-#include "rpc/wire.h"
 #include "svc/service.h"
 
 namespace {
 
-constexpr const char* kDataset = "/tmp/gs_rpc_load.bp";
+namespace bench = gs::bench;
+
 constexpr std::size_t kQuerySpace = 64;  ///< distinct queries in the mix
 constexpr std::size_t kServiceThreads = 4;
 /// ROADMAP item 1: one analyst on loopback waits under 2 ms per query.
@@ -78,31 +75,23 @@ double tail_bound(double idle_p99, std::size_t n_clients) {
   return kTailFactor * idle_p99 * depth;
 }
 
-/// The tail gate of one pass: reports a FAIL line and returns false when
-/// its p99 exceeds tail_bound().
-bool tail_within_bound(const char* pass, std::size_t n_clients, double p99,
-                       double idle_p99) {
-  if (p99 <= tail_bound(idle_p99, n_clients)) return true;
-  std::printf("FAIL: %s p99 %.3f ms exceeds %.0f x 1-client p99 (%.3f ms) "
-              "x max(1, %zu / %zu)\n",
-              pass, p99 * 1e3, kTailFactor, idle_p99 * 1e3, n_clients,
-              kServiceThreads);
-  return false;
+/// The tail gate of one pass: its p99 within tail_bound().
+void check_tail(bench::Gates& gates, const std::string& pass,
+                std::size_t n_clients, double p99, double idle_p99) {
+  gates.check(pass + " p99 within the tail bound",
+              p99 <= tail_bound(idle_p99, n_clients),
+              bench::fmt("p99 %.3f ms exceeds %.0f x 1-client p99 (%.3f ms) "
+                         "x max(1, %zu / %zu)",
+                         p99 * 1e3, kTailFactor, idle_p99 * 1e3, n_clients,
+                         kServiceThreads));
 }
 
-struct Lcg {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  }
-};
-
 /// Deterministic query q -> request body, shared by the ground-truth
-/// pass and every client (same q, same bytes expected back).
+/// pass and every client (same q, same bytes expected back). Its own
+/// 4-verb query space, not the harness's 5-verb mix.
 gs::svc::Request make_query(std::size_t q, std::int64_t n_steps,
                             std::int64_t L) {
-  Lcg rng{0xABCDEF12345678ull ^ (q * 2654435761ull)};
+  bench::Lcg rng{0xABCDEF12345678ull ^ (q * 2654435761ull)};
   const std::int64_t step = static_cast<std::int64_t>(rng.next() %
                                                       static_cast<std::uint64_t>(n_steps));
   gs::svc::Request request;
@@ -132,25 +121,17 @@ gs::svc::Request make_query(std::size_t q, std::int64_t n_steps,
   return request;
 }
 
-std::uint32_t identity_crc(const gs::svc::Response& response) {
-  const auto bytes = gs::rpc::encode_answer_identity(response);
-  return gs::crc32(std::span<const std::byte>(bytes.data(), bytes.size()));
-}
-
-struct PassResult {
+struct Pass {
   double elapsed = 0.0;
-  std::uint64_t ok = 0;
-  std::uint64_t wrong = 0;   ///< identity CRC mismatch (torn/corrupt answer)
-  std::uint64_t failed = 0;  ///< exhausted retries
-  gs::Samples latencies;
+  bench::PassResult r;
 };
 
 /// One closed-loop pass of `n_clients` rpc::Clients against `endpoint`.
-PassResult run_pass(const gs::rpc::Endpoint& endpoint, std::size_t n_clients,
-                    std::size_t reqs_per_client,
-                    const std::vector<std::uint32_t>& expected,
-                    std::int64_t n_steps, std::int64_t L) {
-  std::vector<PassResult> per(n_clients);
+Pass run_pass(const gs::rpc::Endpoint& endpoint, std::size_t n_clients,
+              std::size_t reqs_per_client,
+              const std::vector<std::uint32_t>& expected,
+              const bench::Dataset& ds) {
+  std::vector<bench::PassResult> per(n_clients);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(n_clients);
@@ -160,21 +141,17 @@ PassResult run_pass(const gs::rpc::Endpoint& endpoint, std::size_t n_clients,
       config.retries = 6;
       config.backoff_ms = 1.0;
       gs::rpc::Client client(endpoint, config);
-      Lcg rng{0x9e3779b97f4a7c15ull ^ (c + 1)};
+      bench::Lcg rng{0x9e3779b97f4a7c15ull ^ (c + 1)};
       for (std::size_t r = 0; r < reqs_per_client; ++r) {
         const std::size_t q = rng.next() % kQuerySpace;
         const auto a = std::chrono::steady_clock::now();
         try {
           const gs::svc::Response response =
-              client.call(make_query(q, n_steps, L));
-          const auto b = std::chrono::steady_clock::now();
-          if (!response.status.ok() || identity_crc(response) != expected[q]) {
-            ++per[c].wrong;
-          } else {
-            ++per[c].ok;
-            per[c].latencies.add(
-                std::chrono::duration<double>(b - a).count());
-          }
+              client.call(make_query(q, ds.n_steps, ds.L));
+          per[c].add(response, expected, q,
+                     std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - a)
+                         .count());
         } catch (const gs::IoError&) {
           ++per[c].failed;
         }
@@ -182,60 +159,38 @@ PassResult run_pass(const gs::rpc::Endpoint& endpoint, std::size_t n_clients,
     });
   }
   for (auto& t : threads) t.join();
-  PassResult result;
+  Pass result;
   result.elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  for (const auto& p : per) {
-    result.ok += p.ok;
-    result.wrong += p.wrong;
-    result.failed += p.failed;
-    for (const double x : p.latencies.values()) result.latencies.add(x);
-  }
+  for (const auto& p : per) result.r.merge(p);
   return result;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::size_t scale = argc >= 2 ? std::strtoull(argv[1], nullptr, 10) : 1;
   const std::size_t reqs_per_client = 16 * (scale ? scale : 1);
-  bool failed = false;
 
   std::printf("==============================================================\n");
   std::printf("Extension — gs::rpc remote-serving load over loopback TCP\n");
   std::printf("==============================================================\n\n");
 
   // Phase 1: real dataset + in-process ground truth.
-  gs::Settings settings;
-  settings.L = 32;
-  settings.steps = 20;
-  settings.plotgap = 4;
-  settings.noise = 0.1;
-  settings.output = kDataset;
-  settings.ranks_per_node = 4;
-  std::filesystem::remove_all(kDataset);
-  gs::mpi::run(8, [&](gs::mpi::Comm& world) {
-    gs::core::Workflow wf(settings, world);
-    wf.run();
-  });
-  const std::int64_t n_steps = settings.steps / settings.plotgap;
+  const bench::ScratchDir scratch("rpc_load");
+  const bench::Dataset ds = bench::make_dataset(scratch.file("data.bp"));
+  bench::Gates gates("rpc_load");
 
   gs::svc::ServiceConfig svc_config;
   svc_config.threads = kServiceThreads;
-  gs::svc::Service service(kDataset, std::move(svc_config));
-  std::vector<std::uint32_t> expected(kQuerySpace);
-  for (std::size_t q = 0; q < kQuerySpace; ++q) {
-    const auto response = service.call(make_query(q, n_steps, settings.L));
-    if (!response.status.ok()) {
-      std::printf("FAIL: ground-truth query %zu failed: %s\n", q,
-                  response.status.message.c_str());
-      return 1;
-    }
-    expected[q] = identity_crc(response);
-  }
+  gs::svc::Service service(ds.path, std::move(svc_config));
+  const std::vector<std::uint32_t> expected = bench::ground_truth(
+      service, kQuerySpace,
+      [&](std::size_t q) { return make_query(q, ds.n_steps, ds.L); }, gates);
+  if (expected.empty()) return gates.report();
   std::printf("dataset: %s  (%zu-query ground truth precomputed)\n\n",
-              kDataset, kQuerySpace);
+              ds.path.c_str(), kQuerySpace);
 
   // Phase 2: clean client sweep. The 1-client pass comes first: its p99
   // is the same-run base of every later pass's tail gate.
@@ -246,42 +201,32 @@ int main(int argc, char** argv) {
     gs::rpc::ServerConfig config;
     config.max_connections = 128;
     gs::rpc::Server server(service, config);
-    const auto r = run_pass(server.endpoint(), n_clients, reqs_per_client,
-                            expected, n_steps, settings.L);
+    const auto [elapsed, r] = run_pass(server.endpoint(), n_clients,
+                                       reqs_per_client, expected, ds);
     server.shutdown();
     const auto stats = server.stats();
     const double p50 = r.latencies.percentile(50);
     const double p99 = r.latencies.percentile(99);
     if (n_clients == 1) idle_p99 = p99;
     table.row({std::to_string(n_clients),
-               gs::format_fixed(r.elapsed > 0 ? r.ok / r.elapsed : 0.0, 1),
+               gs::format_fixed(elapsed > 0 ? r.exact / elapsed : 0.0, 1),
                gs::format_seconds(p50),
                gs::format_seconds(r.latencies.percentile(95)),
                gs::format_seconds(p99),
                gs::format_fixed(p99 / tail_bound(idle_p99, n_clients), 3),
                std::to_string(r.wrong), std::to_string(r.failed)});
-    if (r.wrong != 0 || r.failed != 0 ||
-        r.ok != n_clients * reqs_per_client) {
-      std::printf("FAIL: %zu-client pass lost answers (ok=%llu wrong=%llu "
-                  "failed=%llu)\n",
-                  n_clients, (unsigned long long)r.ok,
-                  (unsigned long long)r.wrong, (unsigned long long)r.failed);
-      failed = true;
-    }
-    if (n_clients == 1 && p50 >= kIdleP50Gate) {
-      std::printf("FAIL: 1-client p50 %.3f ms is not under %.0f ms\n",
-                  p50 * 1e3, kIdleP50Gate * 1e3);
-      failed = true;
-    }
     const std::string pass = std::to_string(n_clients) + "-client";
-    if (!tail_within_bound(pass.c_str(), n_clients, p99, idle_p99)) {
-      failed = true;
+    gates.check(pass + " pass answers every query exactly",
+                r.exact == n_clients * reqs_per_client, r.counts());
+    if (n_clients == 1) {
+      gates.check("1-client p50 under 2 ms", p50 < kIdleP50Gate,
+                  bench::fmt("p50 %.3f ms", p50 * 1e3));
+      gates.metric("idle_p50_ms", p50 * 1e3);
     }
-    if (stats.active != 0) {
-      std::printf("FAIL: %llu connections still active after drain\n",
-                  (unsigned long long)stats.active);
-      failed = true;
-    }
+    check_tail(gates, pass, n_clients, p99, idle_p99);
+    gates.check(pass + " pass drains every connection", stats.active == 0,
+                bench::fmt("%llu still active",
+                           (unsigned long long)stats.active));
   }
   std::printf("%s\n", table.str().c_str());
 
@@ -299,7 +244,7 @@ int main(int argc, char** argv) {
     gs::fault::ScopedPlan scoped(plan);
 
     const auto r = run_pass(server.endpoint(), 16, reqs_per_client, expected,
-                            n_steps, settings.L);
+                            ds).r;
     server.shutdown();
     const auto stats = server.stats();
     const std::uint64_t observed = gs::fault::Injector::instance().injected();
@@ -311,30 +256,18 @@ int main(int argc, char** argv) {
                 (unsigned long long)stats.killed_connections,
                 (unsigned long long)stats.crc_errors, p99 * 1e3,
                 p99 / tail_bound(idle_p99, 16));
-    if (!tail_within_bound("chaos", 16, p99, idle_p99)) failed = true;
-    if (observed == 0) {
-      std::printf("FAIL: chaos pass injected nothing — gate is vacuous\n");
-      failed = true;
-    }
-    if (r.wrong != 0) {
-      std::printf("FAIL: chaos pass produced %llu wrong/torn answers\n",
-                  (unsigned long long)r.wrong);
-      failed = true;
-    }
-    if (r.failed != 0 || r.ok != 16 * reqs_per_client) {
-      std::printf("FAIL: retries did not absorb the faults (ok=%llu "
-                  "failed=%llu)\n",
-                  (unsigned long long)r.ok, (unsigned long long)r.failed);
-      failed = true;
-    }
-    if (stats.active != 0) {
-      std::printf("FAIL: chaos pass left connections active after drain\n");
-      failed = true;
-    }
+    check_tail(gates, "chaos", 16, p99, idle_p99);
+    gates.check("chaos pass injected a fault", observed != 0,
+                "injected nothing: the gate is vacuous");
+    gates.check("chaos pass: zero wrong or torn answers", r.wrong == 0,
+                r.counts());
+    gates.check("chaos pass: retries absorb every fault",
+                r.exact == 16 * reqs_per_client, r.counts());
+    gates.check("chaos pass drains every connection", stats.active == 0);
   }
 
   service.shutdown();
-  std::filesystem::remove_all(kDataset);
-  std::printf("\n%s\n", failed ? "FAILED" : "OK");
-  return failed ? 1 : 0;
+  return gates.report();
+} catch (const std::exception& e) {
+  return gs::bench::uncaught(e);
 }

@@ -14,35 +14,24 @@
 //
 // Exit status is nonzero if the warm cache fails to beat the cold pass
 // or any request is dropped — this is a regression gate, not a demo.
+// Every gate is fatal.
 //
 // Default scale finishes in seconds (CI smoke); pass a multiplier to
 // scale requests per client, e.g. `extension_service_load 4`.
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "common/format.h"
 #include "common/stats.h"
-#include "core/workflow.h"
-#include "mpi/runtime.h"
 #include "svc/service.h"
 
 namespace {
 
-constexpr const char* kDataset = "/tmp/gs_svc_load.bp";
-
-/// Deterministic per-client request stream (no global RNG: clients must
-/// not serialize on a shared generator).
-struct Lcg {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  }
-};
+namespace bench = gs::bench;
 
 struct PassResult {
   double elapsed = 0.0;
@@ -67,7 +56,7 @@ PassResult run_pass(gs::svc::Service& service, std::size_t n_clients,
   for (std::size_t c = 0; c < n_clients; ++c) {
     threads.emplace_back([&, c] {
       gs::svc::Client client(service);
-      Lcg rng{0x9e3779b97f4a7c15ull ^ (c + 1)};
+      bench::Lcg rng{0x9e3779b97f4a7c15ull ^ (c + 1)};
       for (std::size_t r = 0; r < reqs_per_client; ++r) {
         const std::int64_t step =
             static_cast<std::int64_t>(rng.next() % n_steps);
@@ -126,7 +115,7 @@ PassResult run_pass(gs::svc::Service& service, std::size_t n_clients,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::size_t scale = argc >= 2 ? std::strtoull(argv[1], nullptr, 10) : 1;
   const std::size_t reqs_per_client = 16 * (scale ? scale : 1);
 
@@ -135,24 +124,13 @@ int main(int argc, char** argv) {
   std::printf("==============================================================\n\n");
 
   // Phase 1: a real solver dataset, 8 ranks through the workflow.
-  gs::Settings settings;
-  settings.L = 32;
-  settings.steps = 20;
-  settings.plotgap = 4;  // 5 output steps, 8 blocks each
-  settings.noise = 0.1;
-  settings.output = kDataset;
-  settings.ranks_per_node = 4;
-  std::filesystem::remove_all(kDataset);
-  gs::mpi::run(8, [&](gs::mpi::Comm& world) {
-    gs::core::Workflow wf(settings, world);
-    wf.run();
-  });
-  const std::int64_t n_steps = settings.steps / settings.plotgap;
+  const bench::ScratchDir scratch("svc_load");
+  const bench::Dataset ds = bench::make_dataset(scratch.file("data.bp"));
   std::printf("dataset: %s  (L=%lld, %lld output steps, 8 blocks/step)\n\n",
-              kDataset, (long long)settings.L, (long long)n_steps);
+              ds.path.c_str(), (long long)ds.L, (long long)ds.n_steps);
+  bench::Gates gates("service_load");
 
   // Phase 2: client sweep, cold cache then warm cache per point.
-  bool failed = false;
   double cold_total_ok = 0, cold_total_s = 0;
   double warm_total_ok = 0, warm_total_s = 0;
   gs::TableFormatter table({"clients", "pass", "req/s", "p50", "p95", "p99",
@@ -161,11 +139,11 @@ int main(int argc, char** argv) {
     gs::svc::ServiceConfig config;
     config.threads = 4;
     config.queue_capacity = 0;  // sweep measures service time, not rejects
-    gs::svc::Service service(kDataset, std::move(config));
+    gs::svc::Service service(ds.path, std::move(config));
     const char* names[2] = {"cold", "warm"};
     for (int pass = 0; pass < 2; ++pass) {
-      const auto r = run_pass(service, n_clients, reqs_per_client, n_steps,
-                              settings.L);
+      const auto r =
+          run_pass(service, n_clients, reqs_per_client, ds.n_steps, ds.L);
       const auto m = service.metrics();
       table.row({std::to_string(n_clients), names[pass],
                  gs::format_fixed(r.throughput(), 1),
@@ -173,13 +151,13 @@ int main(int argc, char** argv) {
                  gs::format_seconds(r.latencies.percentile(95)),
                  gs::format_seconds(r.latencies.percentile(99)),
                  gs::format_fixed(100.0 * m.cache.hit_rate(), 1)});
-      if (r.ok != n_clients * reqs_per_client || r.busy || r.other) {
-        std::printf("FAIL: sweep pass dropped requests (ok=%llu busy=%llu "
-                    "other=%llu)\n",
-                    (unsigned long long)r.ok, (unsigned long long)r.busy,
-                    (unsigned long long)r.other);
-        failed = true;
-      }
+      gates.check(
+          bench::fmt("%zu-client %s sweep drops no request", n_clients,
+                     names[pass]),
+          r.ok == n_clients * reqs_per_client && !r.busy && !r.other,
+          bench::fmt("ok=%llu busy=%llu other=%llu",
+                     (unsigned long long)r.ok, (unsigned long long)r.busy,
+                     (unsigned long long)r.other));
       if (pass == 0) {
         cold_total_ok += static_cast<double>(r.ok);
         cold_total_s += r.elapsed;
@@ -196,10 +174,11 @@ int main(int argc, char** argv) {
   std::printf("aggregate throughput: cold %.1f req/s, warm %.1f req/s "
               "(x%.2f)\n\n",
               cold_tput, warm_tput, warm_tput / cold_tput);
-  if (warm_tput <= cold_tput) {
-    std::printf("FAIL: warm cache did not beat cold cache\n");
-    failed = true;
-  }
+  gates.check("warm cache beats cold cache", warm_tput > cold_tput,
+              bench::fmt("warm %.1f req/s vs cold %.1f", warm_tput,
+                         cold_tput));
+  gates.metric("cold_rps", cold_tput, 1);
+  gates.metric("warm_rps", warm_tput, 1);
 
   // Phase 3: admission control. A 64-client burst against a tiny queue
   // with few workers must shed load as ServerBusy; the same burst
@@ -208,9 +187,8 @@ int main(int argc, char** argv) {
     gs::svc::ServiceConfig config;
     config.threads = 2;
     config.queue_capacity = capacity;
-    gs::svc::Service service(kDataset, std::move(config));
-    const auto r = run_pass(service, 64, reqs_per_client, n_steps,
-                            settings.L);
+    gs::svc::Service service(ds.path, std::move(config));
+    const auto r = run_pass(service, 64, reqs_per_client, ds.n_steps, ds.L);
     service.shutdown();
     const auto m = service.metrics();
     std::printf("burst, queue capacity %zu: ok %llu, busy %llu "
@@ -218,22 +196,16 @@ int main(int argc, char** argv) {
                 capacity, (unsigned long long)r.ok,
                 (unsigned long long)r.busy, (unsigned long long)m.submitted,
                 (unsigned long long)m.accounted());
-    if (r.other != 0 || m.submitted != m.accounted()) {
-      std::printf("FAIL: requests dropped or unaccounted\n");
-      failed = true;
-    }
-    if (capacity > 0 && r.busy == 0) {
-      std::printf("FAIL: bounded queue under burst produced no "
-                  "ServerBusy rejects\n");
-      failed = true;
-    }
-    if (capacity == 0 && r.busy != 0) {
-      std::printf("FAIL: unbounded queue rejected requests\n");
-      failed = true;
+    const std::string burst = bench::fmt("burst, capacity %zu: ", capacity);
+    gates.check(burst + "no request dropped or unaccounted",
+                r.other == 0 && m.submitted == m.accounted());
+    if (capacity > 0) {
+      gates.check(burst + "bounded queue sheds ServerBusy", r.busy != 0);
+    } else {
+      gates.check(burst + "unbounded queue rejects nothing", r.busy == 0);
     }
   }
-
-  std::filesystem::remove_all(kDataset);
-  std::printf("\n%s\n", failed ? "FAILED" : "OK");
-  return failed ? 1 : 0;
+  return gates.report();
+} catch (const std::exception& e) {
+  return gs::bench::uncaught(e);
 }

@@ -22,7 +22,7 @@
 //      router's probe loop must mark it live again, and a final sweep
 //      must be 100% exact.
 //
-// Gates (exit nonzero on violation):
+// Gates (exit nonzero on violation; every gate is fatal):
 //   * zero identity mismatches at every shard count,
 //   * consistent-hash reshuffle 4 -> 5 shards moves < 40% of keys (and
 //     every moved key moves TO the new shard),
@@ -34,190 +34,28 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/checksum.h"
+#include "bench/harness.h"
 #include "common/format.h"
-#include "common/stats.h"
-#include "core/workflow.h"
 #include "fault/fault.h"
-#include "mpi/runtime.h"
-#include "rpc/client.h"
-#include "rpc/server.h"
-#include "rpc/wire.h"
 #include "shard/map.h"
 #include "shard/router.h"
 #include "svc/service.h"
 
 namespace {
 
-constexpr const char* kDataset = "/tmp/gs_shard_scaling.bp";
+namespace bench = gs::bench;
+
 constexpr std::size_t kQuerySpace = 48;  ///< distinct queries in the mix
-
-struct Lcg {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  }
-};
-
-/// Deterministic query q -> request body, shared by the ground-truth
-/// pass and every sweep (same q, same bytes expected back).
-gs::svc::Request make_query(std::size_t q, std::int64_t n_steps,
-                            std::int64_t L) {
-  Lcg rng{0x5112ACEB00512ull ^ (q * 2654435761ull)};
-  const std::int64_t step = static_cast<std::int64_t>(
-      rng.next() % static_cast<std::uint64_t>(n_steps));
-  gs::svc::Request request;
-  switch (q % 5) {
-    case 0:
-      request.body = gs::svc::ListVariablesQ{};
-      break;
-    case 1:
-      request.body = gs::svc::FieldStatsQ{q % 2 ? "U" : "V", step};
-      break;
-    case 2:
-      request.body = gs::svc::HistogramQ{q % 2 ? "V" : "U", step, 32};
-      break;
-    case 3:
-      request.body = gs::svc::Slice2DQ{
-          "U", step, 2,
-          static_cast<std::int64_t>(rng.next() %
-                                    static_cast<std::uint64_t>(L))};
-      break;
-    default: {
-      const std::int64_t half = L / 2;
-      request.body = gs::svc::ReadBoxQ{
-          "V", step,
-          gs::Box3{{0, 0,
-                    static_cast<std::int64_t>(
-                        rng.next() % static_cast<std::uint64_t>(half))},
-                   {half, half, half}}};
-      break;
-    }
-  }
-  return request;
-}
-
-std::uint32_t identity_crc(const gs::svc::Response& response) {
-  const auto bytes = gs::rpc::encode_answer_identity(response);
-  return gs::crc32(std::span<const std::byte>(bytes.data(), bytes.size()));
-}
-
-/// An in-process cluster: N daemons (Service + rpc::Server on unix
-/// sockets) behind a Router that is itself served by an rpc::Server, so
-/// clients exercise the identical wire path a real gsrouter deployment
-/// does.
-struct Cluster {
-  Cluster(std::size_t n, const std::string& tag,
-          gs::shard::RouterConfig router_config = {}) {
-    std::vector<gs::shard::ShardInfo> infos;
-    for (std::size_t i = 0; i < n; ++i) {
-      infos.push_back(gs::shard::ShardInfo{
-          "s" + std::to_string(i),
-          "unix:/tmp/gs_shard_scaling_" + tag + "_" + std::to_string(i) +
-              ".sock"});
-    }
-    map = std::make_shared<const gs::shard::ShardMap>(1, 64,
-                                                      std::move(infos));
-    for (std::size_t i = 0; i < n; ++i) start_shard(i);
-    router_config.probe_interval_ms = 50;
-    router = std::make_unique<gs::shard::Router>(map, router_config);
-    gs::rpc::ServerConfig front_config;
-    front_config.max_connections = 64;
-    front = std::make_unique<gs::rpc::Server>(*router, front_config);
-  }
-
-  ~Cluster() {
-    if (front) front->shutdown();
-    if (router) router->shutdown();
-    for (std::size_t i = 0; i < servers.size(); ++i) kill_shard(i);
-  }
-
-  void start_shard(std::size_t i) {
-    gs::svc::ServiceConfig config;
-    config.threads = 2;
-    config.shard_map = map;
-    auto service = std::make_unique<gs::svc::Service>(kDataset,
-                                                      std::move(config));
-    gs::rpc::ServerConfig server_config;
-    server_config.listen = map->shards()[i].endpoint;
-    auto server = std::make_unique<gs::rpc::Server>(*service, server_config);
-    if (services.size() <= i) {
-      services.resize(i + 1);
-      servers.resize(i + 1);
-    }
-    services[i] = std::move(service);
-    servers[i] = std::move(server);
-  }
-
-  void kill_shard(std::size_t i) {
-    if (servers[i]) servers[i]->shutdown();
-    if (services[i]) services[i]->shutdown();
-    servers[i].reset();
-    services[i].reset();
-  }
-
-  std::shared_ptr<const gs::shard::ShardMap> map;
-  std::vector<std::unique_ptr<gs::svc::Service>> services;
-  std::vector<std::unique_ptr<gs::rpc::Server>> servers;
-  std::unique_ptr<gs::shard::Router> router;
-  std::unique_ptr<gs::rpc::Server> front;
-};
-
-struct PassResult {
-  std::uint64_t exact = 0;     ///< identity CRC matched the ground truth
-  std::uint64_t degraded = 0;  ///< explicitly flagged partial answers
-  std::uint64_t wrong = 0;     ///< mismatched WITHOUT the degraded flag
-  std::uint64_t failed = 0;    ///< exhausted transport retries
-  gs::Samples latencies;
-};
-
-/// Issues `rounds` full sweeps of the query space through a fresh
-/// rpc::Client and classifies every answer.
-PassResult run_pass(const gs::rpc::Endpoint& endpoint, std::size_t rounds,
-                    const std::vector<std::uint32_t>& expected,
-                    std::int64_t n_steps, std::int64_t L) {
-  PassResult result;
-  gs::rpc::ClientConfig config;
-  config.retries = 6;
-  config.backoff_ms = 1.0;
-  gs::rpc::Client client(endpoint, config);
-  for (std::size_t round = 0; round < rounds; ++round) {
-    for (std::size_t q = 0; q < kQuerySpace; ++q) {
-      const auto a = std::chrono::steady_clock::now();
-      try {
-        const gs::svc::Response response =
-            client.call(make_query(q, n_steps, L));
-        const auto b = std::chrono::steady_clock::now();
-        if (response.status.ok() && identity_crc(response) == expected[q]) {
-          ++result.exact;
-          result.latencies.add(std::chrono::duration<double>(b - a).count());
-        } else if (response.degraded || !response.status.ok()) {
-          ++result.degraded;  // explicitly flagged — never silent
-        } else {
-          ++result.wrong;
-          std::printf("WRONG: query %zu answered ok+undegraded with "
-                      "mismatched identity\n",
-                      q);
-        }
-      } catch (const gs::IoError&) {
-        ++result.failed;
-      }
-    }
-  }
-  return result;
-}
+constexpr std::uint64_t kQuerySeed = 0x5112ACEB00512ull;
 
 /// The consistent-hash property the tier's elasticity rests on: growing
 /// 4 -> 5 shards must move only the new shard's arcs, not reshuffle the
 /// cluster.
-bool check_reshuffle() {
+void check_reshuffle(bench::Gates& gates) {
   const auto mk = [](std::size_t n) {
     std::vector<gs::shard::ShardInfo> infos;
     for (std::size_t i = 0; i < n; ++i) {
@@ -243,73 +81,55 @@ bool check_reshuffle() {
   std::printf("reshuffle 4 -> 5 shards: %d/%d keys moved (%.1f%%), "
               "%d to the new shard\n",
               moved, keys, 100.0 * moved / keys, stolen_by_new);
-  if (moved == 0 || moved > keys * 2 / 5) {
-    std::printf("FAIL: reshuffle outside (0, 40%%] — not consistent "
-                "hashing\n");
-    return false;
+  if (!gates.check("reshuffle 4 -> 5 moves (0, 40%] of keys",
+                   moved != 0 && moved <= keys * 2 / 5,
+                   "not consistent hashing")) {
+    return;
   }
-  if (stolen_by_new != moved) {
-    std::printf("FAIL: %d keys moved between OLD shards\n",
-                moved - stolen_by_new);
-    return false;
-  }
-  return true;
+  gates.check("reshuffle moves keys only to the new shard",
+              stolen_by_new == moved,
+              bench::fmt("%d keys moved between OLD shards",
+                         moved - stolen_by_new));
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::size_t scale = argc >= 2 ? std::strtoull(argv[1], nullptr, 10) : 1;
   const std::size_t rounds = 2 * (scale ? scale : 1);
-  bool failed = false;
+  bench::Gates gates("shard_scaling");
 
   std::printf("==============================================================\n");
   std::printf("Extension — gs::shard sharded-cluster scaling over unix "
               "sockets\n");
   std::printf("==============================================================\n\n");
 
-  failed = !check_reshuffle() || failed;
+  check_reshuffle(gates);
   std::printf("\n");
 
   // Phase 1: real dataset + single-daemon ground truth.
-  gs::Settings settings;
-  settings.L = 32;
-  settings.steps = 20;
-  settings.plotgap = 4;
-  settings.noise = 0.1;
-  settings.output = kDataset;
-  settings.ranks_per_node = 4;
-  std::filesystem::remove_all(kDataset);
-  gs::mpi::run(8, [&](gs::mpi::Comm& world) {
-    gs::core::Workflow wf(settings, world);
-    wf.run();
-  });
-  const std::int64_t n_steps = settings.steps / settings.plotgap;
-
-  std::vector<std::uint32_t> expected(kQuerySpace);
+  const bench::ScratchDir scratch("shard_scaling");
+  const bench::Dataset ds = bench::make_dataset(scratch.file("data.bp"));
+  const bench::QueryFn query = [&](std::size_t q) {
+    return bench::make_query(q, ds.n_steps, ds.L, kQuerySeed);
+  };
+  std::vector<std::uint32_t> expected;
   {
-    gs::svc::Service single(kDataset, gs::svc::ServiceConfig{});
-    for (std::size_t q = 0; q < kQuerySpace; ++q) {
-      const auto response = single.call(make_query(q, n_steps, settings.L));
-      if (!response.status.ok()) {
-        std::printf("FAIL: ground-truth query %zu failed: %s\n", q,
-                    response.status.message.c_str());
-        return 1;
-      }
-      expected[q] = identity_crc(response);
-    }
+    gs::svc::Service single(ds.path);
+    expected = bench::ground_truth(single, kQuerySpace, query, gates);
   }
+  if (expected.empty()) return gates.report();
   std::printf("dataset: %s  (%zu-query ground truth precomputed)\n\n",
-              kDataset, kQuerySpace);
+              ds.path.c_str(), kQuerySpace);
 
   // Phase 2: shard-count sweep — every answer must be exact.
   gs::TableFormatter table(
       {"shards", "req/s", "p50", "p95", "p99", "degraded", "wrong"});
   for (const std::size_t n_shards : {1u, 2u, 3u, 5u, 8u}) {
-    Cluster cluster(n_shards, "n" + std::to_string(n_shards));
+    bench::Fleet cluster(ds.path, scratch.path(), n_shards, n_shards);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = run_pass(cluster.front->endpoint(), rounds, expected,
-                            n_steps, settings.L);
+    const auto r =
+        bench::sweep_wire(cluster.front->endpoint(), rounds, expected, query);
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -319,15 +139,8 @@ int main(int argc, char** argv) {
                gs::format_seconds(r.latencies.percentile(95)),
                gs::format_seconds(r.latencies.percentile(99)),
                std::to_string(r.degraded), std::to_string(r.wrong)});
-    if (r.wrong != 0 || r.degraded != 0 || r.failed != 0 ||
-        r.exact != rounds * kQuerySpace) {
-      std::printf("FAIL: %zu-shard sweep not byte-identical (exact=%llu "
-                  "degraded=%llu wrong=%llu failed=%llu)\n",
-                  n_shards, (unsigned long long)r.exact,
-                  (unsigned long long)r.degraded, (unsigned long long)r.wrong,
-                  (unsigned long long)r.failed);
-      failed = true;
-    }
+    gates.check(bench::fmt("%zu-shard sweep byte-identical", n_shards),
+                r.exact == rounds * kQuerySpace, r.counts());
   }
   std::printf("%s\n", table.str().c_str());
 
@@ -336,7 +149,7 @@ int main(int argc, char** argv) {
   {
     gs::shard::RouterConfig router_config;
     router_config.attempts = 3;
-    Cluster cluster(5, "chaos", router_config);
+    bench::Fleet cluster(ds.path, scratch.path(), 5, 5, router_config);
 
     gs::fault::Plan plan;
     plan.arm_random("rpc.write", 0.005, gs::fault::Kind::fail,
@@ -345,36 +158,26 @@ int main(int argc, char** argv) {
 
     std::thread killer([&cluster] {
       std::this_thread::sleep_for(std::chrono::milliseconds(60));
-      cluster.kill_shard(2);
+      cluster.kill(2);
     });
-    const auto r = run_pass(cluster.front->endpoint(),
-                            std::max<std::size_t>(rounds, 2) * 2, expected,
-                            n_steps, settings.L);
+    const auto r = bench::sweep_wire(cluster.front->endpoint(),
+                                     std::max<std::size_t>(rounds, 2) * 2,
+                                     expected, query);
     killer.join();
     const std::uint64_t observed = gs::fault::Injector::instance().injected();
-    std::printf("chaos: %llu injected faults; exact=%llu degraded=%llu "
-                "wrong=%llu failed=%llu, failovers=%llu\n",
-                (unsigned long long)observed, (unsigned long long)r.exact,
-                (unsigned long long)r.degraded, (unsigned long long)r.wrong,
-                (unsigned long long)r.failed,
+    std::printf("chaos: %llu injected faults; %s, failovers=%llu\n",
+                (unsigned long long)observed, r.counts().c_str(),
                 (unsigned long long)cluster.router->stats().failovers);
-    if (observed == 0) {
-      std::printf("FAIL: chaos pass injected nothing — gate is vacuous\n");
-      failed = true;
-    }
-    if (r.wrong != 0) {
-      std::printf("FAIL: chaos produced %llu SILENT wrong answers\n",
-                  (unsigned long long)r.wrong);
-      failed = true;
-    }
-    if (r.exact == 0) {
-      std::printf("FAIL: chaos pass never answered exactly\n");
-      failed = true;
-    }
+    gates.check("chaos pass injected a fault", observed != 0,
+                "injected nothing: the gate is vacuous");
+    gates.check("chaos pass: zero silent wrong answers", r.wrong == 0,
+                r.counts());
+    gates.check("chaos pass answers exactly at least once", r.exact != 0,
+                r.counts());
 
     // Recovery: restart the killed daemon on its old endpoint; the probe
     // loop must mark it live and the final sweep must be 100%% exact.
-    cluster.start_shard(2);
+    cluster.start(2);
     bool live = false;
     for (int wait = 0; wait < 100; ++wait) {
       if (cluster.router->health().alive("s2")) {
@@ -383,24 +186,14 @@ int main(int argc, char** argv) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    if (!live) {
-      std::printf("FAIL: restarted shard s2 never re-marked live\n");
-      failed = true;
-    }
-    const auto after = run_pass(cluster.front->endpoint(), 1, expected,
-                                n_steps, settings.L);
-    std::printf("recovery: s2 live again, sweep exact=%llu degraded=%llu "
-                "wrong=%llu\n",
-                (unsigned long long)after.exact,
-                (unsigned long long)after.degraded,
-                (unsigned long long)after.wrong);
-    if (after.exact != kQuerySpace) {
-      std::printf("FAIL: post-recovery sweep not fully exact\n");
-      failed = true;
-    }
+    gates.check("restarted shard s2 re-marked live", live);
+    const auto after =
+        bench::sweep_wire(cluster.front->endpoint(), 1, expected, query);
+    std::printf("recovery: s2 live again, sweep %s\n", after.counts().c_str());
+    gates.check("post-recovery sweep fully exact", after.exact == kQuerySpace,
+                after.counts());
   }
-
-  std::filesystem::remove_all(kDataset);
-  std::printf("\n%s\n", failed ? "FAILED" : "OK");
-  return failed ? 1 : 0;
+  return gates.report();
+} catch (const std::exception& e) {
+  return gs::bench::uncaught(e);
 }

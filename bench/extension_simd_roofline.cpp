@@ -14,17 +14,17 @@
 //      variant must produce bitwise-identical fields to the native-width
 //      default — the SIMD contract, checked with noise ON so the lane
 //      noise draws are exercised;
-//    - bandwidth (gated): stencil >= 35% of the measured triad. Fatal on
-//      real hardware with a vector build; informational when
-//      GS_ROOFLINE_NONFATAL is set (shared CI runners) or the build is
-//      the scalar fallback (GS_SIMD=OFF, nothing to enforce).
+//    - bandwidth (relaxable): stencil >= 35% of the measured triad.
+//      Relaxed under GS_BENCH_NONFATAL (shared CI runners); informational
+//      when the build is the scalar fallback (GS_SIMD=OFF, nothing to
+//      enforce).
 //
 // The BENCH_JSON line is machine-readable for the CI bench loop.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "bench/harness.h"
 #include "common/clock.h"
 #include "core/reference.h"
 #include "core/stencil.h"
@@ -119,32 +119,26 @@ void sweep_into(Workload& w, std::int64_t tile_j) {
   gs::core::grayscott_tile<W>(w.args, 0, kIdentityL);
 }
 
-int check_identity() {
-  int failures = 0;
+void check_identity(gs::bench::Gates& gates) {
   Workload native(kIdentityL, /*noise=*/0.1);
   sweep_into<gs::simd::kNativeWidth>(native, 0);
 
   Workload scalar(kIdentityL, /*noise=*/0.1);
   sweep_into<1>(scalar, 0);
-  if (!interiors_identical(native.un, scalar.un) ||
-      !interiors_identical(native.vn, scalar.vn)) {
-    std::printf("FAIL: W=1 fallback differs from native width %d\n",
-                gs::simd::kNativeWidth);
-    ++failures;
-  }
+  gates.check(gs::bench::fmt("W=1 fallback identical to native width %d",
+                             gs::simd::kNativeWidth),
+              interiors_identical(native.un, scalar.un) &&
+                  interiors_identical(native.vn, scalar.vn));
 
   for (const std::int64_t tj : {std::int64_t{1}, std::int64_t{3},
                                 std::int64_t{kIdentityL}}) {
     Workload blocked(kIdentityL, /*noise=*/0.1);
     sweep_into<gs::simd::kNativeWidth>(blocked, tj);
-    if (!interiors_identical(native.un, blocked.un) ||
-        !interiors_identical(native.vn, blocked.vn)) {
-      std::printf("FAIL: tile_j=%lld differs from auto-tuned blocking\n",
-                  static_cast<long long>(tj));
-      ++failures;
-    }
+    gates.check(gs::bench::fmt("tile_j=%lld identical to auto-tuned blocking",
+                               static_cast<long long>(tj)),
+                interiors_identical(native.un, blocked.un) &&
+                    interiors_identical(native.vn, blocked.vn));
   }
-  return failures;
 }
 
 }  // namespace
@@ -156,10 +150,8 @@ int main() {
 
   // Identity first — a fast kernel that computes different bits is a bug,
   // not a win, so the bandwidth number is meaningless until this passes.
-  int status = check_identity();
-  if (status == 0) {
-    std::printf("identity: PASS (W=1, tile_j sweeps bitwise identical)\n");
-  }
+  gs::bench::Gates gates("simd_roofline");
+  check_identity(gates);
 
   const double triad_gbps = measure_triad_gbps();
   double stencil_ms = 0.0;
@@ -172,24 +164,18 @@ int main() {
               stencil_gbps, stencil_ms, kBytesPerCell);
   std::printf("fraction: %7.2f%% of triad (gate: >= %.0f%%)\n",
               fraction * 100.0, kMinFraction * 100.0);
-  std::printf("BENCH_JSON {\"bench\":\"simd_roofline\",\"width\":%d,"
-              "\"triad_gbps\":%.3f,\"stencil_gbps\":%.3f,"
-              "\"fraction_of_peak\":%.4f,\"bytes_per_cell\":%.1f,"
-              "\"stencil_ms\":%.3f}\n",
-              gs::simd::kNativeWidth, triad_gbps, stencil_gbps, fraction,
-              kBytesPerCell, stencil_ms);
+  gates.metric("width", gs::simd::kNativeWidth, 0);
+  gates.metric("triad_gbps", triad_gbps);
+  gates.metric("stencil_gbps", stencil_gbps);
+  gates.metric("fraction_of_peak", fraction, 4);
+  gates.metric("bytes_per_cell", kBytesPerCell, 1);
+  gates.metric("stencil_ms", stencil_ms);
 
-  const bool nonfatal = std::getenv("GS_ROOFLINE_NONFATAL") != nullptr;
-  if (nonfatal || gs::simd::kNativeWidth == 1) {
-    std::printf("roofline gate: informational (%s)\n",
-                nonfatal ? "GS_ROOFLINE_NONFATAL set"
-                         : "scalar-fallback build");
-  } else if (fraction < kMinFraction) {
-    std::printf("FAIL: stencil reaches %.1f%% of triad, need >= %.0f%%\n",
-                fraction * 100.0, kMinFraction * 100.0);
-    status = 1;
+  if (gs::simd::kNativeWidth == 1) {
+    std::printf("roofline gate: informational (scalar-fallback build)\n");
   } else {
-    std::printf("roofline gate: PASS\n");
+    gates.relaxable("stencil >= 35% of triad", fraction >= kMinFraction,
+                    gs::bench::fmt("%.1f%% of triad", fraction * 100.0));
   }
-  return status;
+  return gates.report();
 }

@@ -422,6 +422,25 @@ ResponseBody Service::execute_partial(const Request& request,
   return body;
 }
 
+std::vector<BlockId> dataset_blocks(const bp::Reader& reader) {
+  std::vector<BlockId> ids;
+  for (const auto& name : reader.variable_names()) {
+    const auto info = reader.info(name);
+    for (std::int64_t step = 0; step < info.steps; ++step) {
+      std::size_t n_blocks = 0;
+      try {
+        n_blocks = reader.blocks(name, step).size();
+      } catch (const gs::Error&) {
+        continue;  // scalar variable: no block layout
+      }
+      for (std::size_t b = 0; b < n_blocks; ++b) {
+        ids.push_back(BlockId{name, step, b});
+      }
+    }
+  }
+  return ids;
+}
+
 shard::ReplacementStats Service::reload_shard_map(
     std::shared_ptr<const shard::ShardMap> next) {
   GS_REQUIRE(next != nullptr, "reload_shard_map needs a map");
@@ -444,29 +463,14 @@ shard::ReplacementStats Service::reload_shard_map(
   // Replacement plan: exactly the blocks the new ring assigns to THIS
   // daemon that the old ring assigned elsewhere — the ring's minimal
   // movement, per owner.
-  struct Gained {
-    std::string variable;
-    std::int64_t step;
-    std::size_t block;
-  };
-  std::vector<Gained> gained;
+  std::vector<BlockId> gained;
   if (!config_.shard_id.empty() && next->find(config_.shard_id) != nullptr) {
-    for (const auto& name : reader_.variable_names()) {
-      const auto info = reader_.info(name);
-      for (std::int64_t step = 0; step < info.steps; ++step) {
-        std::size_t n_blocks = 0;
-        try {
-          n_blocks = reader_.blocks(name, step).size();
-        } catch (const gs::Error&) {
-          continue;  // scalar/blockless variable: nothing to place
-        }
-        for (std::size_t b = 0; b < n_blocks; ++b) {
-          const std::string key = shard::Ring::block_key(name, step, b);
-          if (next_ring->owner(key) == config_.shard_id &&
-              current.ring->owner(key) != config_.shard_id) {
-            gained.push_back(Gained{name, step, b});
-          }
-        }
+    for (BlockId& id : dataset_blocks(reader_)) {
+      const std::string key =
+          shard::Ring::block_key(id.variable, id.step, id.block);
+      if (next_ring->owner(key) == config_.shard_id &&
+          current.ring->owner(key) != config_.shard_id) {
+        gained.push_back(std::move(id));
       }
     }
   }
@@ -488,7 +492,7 @@ shard::ReplacementStats Service::reload_shard_map(
   // REPLACING: warm every gained block through the CRC-verified read
   // path into the cache/mmap tier. A block that fails stays degraded-
   // not-wrong — queries salvage around it exactly as for damage.
-  for (const Gained& g : gained) {
+  for (const BlockId& g : gained) {
     try {
       fault::Injector::instance().check("shard.replace");
       Response scratch;

@@ -166,6 +166,20 @@ struct MetricsSnapshot {
   std::string report() const;  ///< human-readable table
 };
 
+/// One (variable, step, block) of a dataset's block layout: the unit a
+/// shard ring places (shard::Ring::block_key names it).
+struct BlockId {
+  std::string variable;
+  std::int64_t step = 0;
+  std::size_t block = 0;
+};
+
+/// Every block of `reader`'s dataset, in variable, step, block order.
+/// Scalar variables have no block layout and are skipped. The one walk
+/// behind replacement warming, gsctl's block-key universe and the
+/// benches' ring-movement bounds.
+std::vector<BlockId> dataset_blocks(const bp::Reader& reader);
+
 class Service {
  public:
   /// Opens the dataset at `path` (throws gs::IoError if absent/corrupt)

@@ -28,6 +28,7 @@
 #include "bp/reader.h"
 #include "ctrl/controller.h"
 #include "shard/map.h"
+#include "svc/service.h"
 #include "cli_contract.h"
 
 namespace {
@@ -79,26 +80,6 @@ int usage(std::FILE* to, const char* argv0) {
       "%s",
       argv0, gs::cli::kExitContract);
   return to == stdout ? 0 : 2;
-}
-
-std::vector<std::string> dataset_block_keys(const std::string& path) {
-  gs::bp::Reader reader(path);
-  std::vector<std::string> keys;
-  for (const auto& name : reader.variable_names()) {
-    const auto info = reader.info(name);
-    for (std::int64_t step = 0; step < info.steps; ++step) {
-      std::size_t n_blocks = 0;
-      try {
-        n_blocks = reader.blocks(name, step).size();
-      } catch (const gs::Error&) {
-        continue;  // scalar variable: no block layout
-      }
-      for (std::size_t b = 0; b < n_blocks; ++b) {
-        keys.push_back(gs::shard::Ring::block_key(name, step, b));
-      }
-    }
-  }
-  return keys;
 }
 
 }  // namespace
@@ -211,7 +192,11 @@ int main(int argc, char** argv) {
     auto map = std::make_shared<const gs::shard::ShardMap>(
         gs::shard::ShardMap::from_file(map_file));
     if (!dataset.empty()) {
-      config.block_keys = dataset_block_keys(dataset);
+      const gs::bp::Reader reader(dataset);
+      for (const auto& id : gs::svc::dataset_blocks(reader)) {
+        config.block_keys.push_back(
+            gs::shard::Ring::block_key(id.variable, id.step, id.block));
+      }
       std::fprintf(stderr, "gsctl: %zu block keys from %s\n",
                    config.block_keys.size(), dataset.c_str());
     }
