@@ -32,6 +32,7 @@
 // Default scale finishes in well under a minute; pass a multiplier to
 // stretch the pass deadlines, e.g. `extension_ctrl_convergence 4`.
 #include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -233,14 +234,17 @@ int main(int argc, char** argv) try {
   // must grow exactly twice and stop at max_shards.
   std::printf("\n-- pass 2: load ramp up (9.6 total), expect 3 -> 5 --\n");
   offered_load = 9.6;
-  const bool grew = run_until(now_s() + 60.0 * stretch, settled(5));
+  const double grow_start = now_s();
+  const bool grew = run_until(grow_start + 60.0 * stretch, settled(5));
+  const double grow_seconds = now_s() - grow_start;
   {
     const auto stats = controller.stats();
-    std::printf("ramp up: %zu shards at epoch %llu, grows=%llu "
+    std::printf("ramp up: %zu shards at epoch %llu, grows=%llu in %.2fs "
                 "(last: %s)\n",
                 controller.map()->size(),
                 (unsigned long long)controller.map()->epoch(),
-                (unsigned long long)stats.grows, stats.last_reason.c_str());
+                (unsigned long long)stats.grows, grow_seconds,
+                stats.last_reason.c_str());
     gates.relaxable("grows 3 -> 5 under saturation and converges", grew);
     gates.relaxable("ramp up: zero convergence timeouts",
                     stats.converge_timeouts == 0);
@@ -250,14 +254,17 @@ int main(int argc, char** argv) try {
   // 0.3 at 3 (in band): shrink exactly twice, floor at min_shards.
   std::printf("\n-- pass 3: load ramp down (0.9 total), expect 5 -> 3 --\n");
   offered_load = 0.9;
-  const bool shrank = run_until(now_s() + 60.0 * stretch, settled(3));
+  const double shrink_start = now_s();
+  const bool shrank = run_until(shrink_start + 60.0 * stretch, settled(3));
+  const double shrink_seconds = now_s() - shrink_start;
   {
     const auto stats = controller.stats();
-    std::printf("ramp down: %zu shards at epoch %llu, shrinks=%llu "
-                "(last: %s)\n",
+    std::printf("ramp down: %zu shards at epoch %llu, shrinks=%llu in "
+                "%.2fs (last: %s)\n",
                 controller.map()->size(),
                 (unsigned long long)controller.map()->epoch(),
-                (unsigned long long)stats.shrinks, stats.last_reason.c_str());
+                (unsigned long long)stats.shrinks, shrink_seconds,
+                stats.last_reason.c_str());
     gates.relaxable("shrinks 5 -> 3 when idle and converges", shrank);
     gates.relaxable("ramp down: zero convergence timeouts",
                     stats.converge_timeouts == 0);
@@ -293,6 +300,12 @@ int main(int argc, char** argv) try {
               (unsigned long long)stats.evicts, kEpochBudget,
               (unsigned long long)stats.converged,
               (unsigned long long)stats.converge_timeouts);
+  gates.metric("epochs_committed",
+               static_cast<double>(stats.epochs_committed), 0);
+  // A ramp's convergence time: from the load change until the fleet has
+  // settled at the target size with every committed epoch adopted.
+  gates.metric("worst_converge_seconds",
+               std::max(grow_seconds, shrink_seconds), 2);
   gates.relaxable(
       "epochs committed within the controller's budget",
       stats.epochs_committed <= static_cast<std::uint64_t>(kEpochBudget));

@@ -132,6 +132,7 @@ int main(int argc, char** argv) try {
                 (unsigned long long)handover.epoch_to, handover.shards_added,
                 handover.drained ? "drained" : "DRAIN TIMED OUT",
                 handover.drain_seconds);
+    gates.metric("grow_drain_seconds", handover.drain_seconds, 4);
 
     for (std::size_t r = 0; r < rounds; ++r) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -210,10 +211,13 @@ int main(int argc, char** argv) try {
     // Inside the grace window the stale client still gets exact answers.
     const auto inside = sweep_router(stale, expected, query);
     const auto handover = fleet.router->reload_map(map3);
-    std::printf("router: epoch %llu -> %llu, -%zu shards\n",
+    std::printf("router: epoch %llu -> %llu, -%zu shards, %s in %.3fs\n",
                 (unsigned long long)handover.epoch_from,
                 (unsigned long long)handover.epoch_to,
-                handover.shards_removed);
+                handover.shards_removed,
+                handover.drained ? "drained" : "DRAIN TIMED OUT",
+                handover.drain_seconds);
+    gates.metric("shrink_drain_seconds", handover.drain_seconds, 4);
     const auto fresh = sweep_router(*fleet.router, expected, query);
     const std::size_t bound =
         gs::shard::moved_keys(gs::shard::Ring(*map2), gs::shard::Ring(*map3),

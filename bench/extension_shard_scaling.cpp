@@ -133,8 +133,11 @@ int main(int argc, char** argv) try {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    table.row({std::to_string(n_shards),
-               gs::format_fixed(elapsed > 0 ? r.exact / elapsed : 0.0, 1),
+    const double rps = elapsed > 0 ? r.exact / elapsed : 0.0;
+    gates.metric(bench::fmt("rps_%zu", n_shards), rps, 1);
+    gates.metric(bench::fmt("p99_ms_%zu", n_shards),
+                 1e3 * r.latencies.percentile(99), 3);
+    table.row({std::to_string(n_shards), gs::format_fixed(rps, 1),
                gs::format_seconds(r.latencies.percentile(50)),
                gs::format_seconds(r.latencies.percentile(95)),
                gs::format_seconds(r.latencies.percentile(99)),

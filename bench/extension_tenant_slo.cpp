@@ -315,6 +315,7 @@ void phase_serving(Gates& gates) {
                 (unsigned long long)it->second.slo_violations,
                 1e3 * it->second.latency_p50, 1e3 * it->second.latency_p95,
                 1e3 * it->second.latency_p99);
+    gates.metric("p99_ms_" + who, 1e3 * it->second.latency_p99, 2);
     if (it->second.latency_p99 > kSlo) {
       p99_ok = false;
       p99_detail = who + " p99 " +

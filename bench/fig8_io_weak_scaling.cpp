@@ -8,6 +8,7 @@
 // overhead (the paper's claim for the ADIOS2.jl bindings).
 #include <cstdio>
 
+#include "bench/scratch.h"
 #include "bp/writer.h"
 #include "common/clock.h"
 #include "common/format.h"
@@ -20,7 +21,8 @@ namespace {
 void functional_binding_check() {
   std::printf("--- Functional check: BP-mini writer on local disk ---\n");
   const std::int64_t L = 64;
-  const std::string path = "/tmp/gs_fig8_check.bp";
+  const gs::bench::ScratchDir scratch("fig8");
+  const std::string path = scratch.file("check.bp");
   gs::mpi::run(4, [&](gs::mpi::Comm& world) {
     const gs::Decomposition d = gs::Decomposition::cube(L, world.size());
     const gs::Box3 box = d.local_box(world.rank());
@@ -44,7 +46,6 @@ void functional_binding_check() {
       (void)stats;
     }
   });
-  std::remove((path + "/md.idx").c_str());
   std::printf("\n");
 }
 

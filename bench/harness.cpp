@@ -1,12 +1,9 @@
 #include "bench/harness.h"
 
-#include <stdlib.h>
-
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <span>
 
 #include "bp/reader.h"
@@ -29,27 +26,6 @@ std::string fmt(const char* format, ...) {
   std::vsnprintf(out.data(), out.size() + 1, format, args);
   va_end(args);
   return out;
-}
-
-// ---- ScratchDir -----------------------------------------------------------
-
-ScratchDir::ScratchDir(const std::string& tag) {
-  const char* tmp = std::getenv("TMPDIR");
-  std::string pattern = std::string(tmp && *tmp ? tmp : "/tmp") + "/gs_" +
-                        tag + ".XXXXXX";
-  if (::mkdtemp(pattern.data()) == nullptr) {
-    throw IoError("mkdtemp(" + pattern + ") failed");
-  }
-  path_ = std::move(pattern);
-}
-
-ScratchDir::~ScratchDir() {
-  std::error_code ec;  // a destructor must not throw; nothing to report to
-  std::filesystem::remove_all(path_, ec);
-}
-
-std::string ScratchDir::file(const std::string& name) const {
-  return path_ + "/" + name;
 }
 
 // ---- dataset and queries --------------------------------------------------

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/scratch.h"
 #include "common/stats.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
@@ -36,25 +37,6 @@ struct Lcg {
 /// printf into a std::string, for gate details.
 std::string fmt(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
-
-/// A private `$TMPDIR/gs_<tag>.XXXXXX` directory (TMPDIR defaults to
-/// /tmp) holding a bench's dataset, map files and unix sockets. It is
-/// removed with everything in it when the object is destroyed, on a
-/// return and on an exception unwinding through it alike.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag);
-  ~ScratchDir();
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  const std::string& path() const { return path_; }
-  /// path()/name.
-  std::string file(const std::string& name) const;
-
- private:
-  std::string path_;
-};
 
 /// The solver dataset every serving bench serves.
 struct Dataset {

@@ -8,6 +8,7 @@
 
 #include <numeric>
 
+#include "bench/scratch.h"
 #include "bp/compress.h"
 #include "bp/reader.h"
 #include "bp/writer.h"
@@ -152,7 +153,8 @@ BENCHMARK(BM_GorillaDecompress);
 
 void BM_BpWriteReadCycle(benchmark::State& state) {
   const std::int64_t L = 24;
-  const std::string path = "/tmp/gs_microbench.bp";
+  const gs::bench::ScratchDir scratch("microbench");
+  const std::string path = scratch.file("cycle.bp");
   std::vector<double> block(static_cast<std::size_t>(L * L * L), 1.5);
   for (auto _ : state) {
     gs::mpi::run(1, [&](gs::mpi::Comm& world) {

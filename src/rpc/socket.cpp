@@ -170,6 +170,10 @@ void Socket::close() {
   }
 }
 
+void Socket::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Socket::write_all(std::span<const std::span<const std::byte>> parts,
                        std::int64_t timeout_ms) {
   // IoError (not a bare requirement failure): racing against a close is

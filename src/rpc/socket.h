@@ -51,6 +51,10 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   void close();
+  /// Shuts both directions down but keeps the descriptor: a thread
+  /// waiting to read wakes to EOF and a writer fails, while the fd stays
+  /// owned (so the kernel cannot reuse it) until close().
+  void shutdown();
 
   /// Writes the concatenation of `parts` (at most two: a frame's header
   /// and payload) with gathering sendmsg(2) calls — one call when the

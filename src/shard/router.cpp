@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <sstream>
 #include <utility>
 
@@ -37,6 +36,27 @@ std::string join_ids(const std::vector<std::string>& ids) {
   return oss.str();
 }
 
+/// The sub-query that asks the daemon behind `act_as` for the blocks it
+/// owns under the pinned map.
+svc::Request sub_request(const ShardMap& map, const svc::Request& base,
+                         const svc::QueryBody& body,
+                         const std::string& act_as) {
+  svc::Request sub;
+  sub.body = body;
+  sub.timeout_seconds = base.timeout_seconds;
+  sub.shard = svc::ShardSelector{map.epoch(), map.ring_crc(), act_as};
+  return sub;
+}
+
+/// A daemon's answer settles its shard when it is ok, or a BadRequest —
+/// semantic and final, every daemon would refuse the same way. A
+/// capacity/deadline/stale-epoch refusal does not: a replica (possibly
+/// still inside its reload grace window) may answer.
+bool is_final(const svc::Response& response) {
+  return response.status.ok() ||
+         response.status.code == svc::StatusCode::bad_request;
+}
+
 svc::Response refused(const svc::Request& request, svc::StatusCode code,
                       std::string message) {
   svc::Response response;
@@ -57,9 +77,9 @@ Router::EpochState::EpochState(std::shared_ptr<const ShardMap> m,
           shard_ids(*map), config.health,
           carry != nullptr ? carry->health.get() : nullptr)) {
   for (const auto& info : map->shards()) {
-    // Same id AND same endpoint: the previous epoch's state (pool,
+    // Same id AND same endpoint: the previous epoch's state (channel,
     // latency history) carries over — the flip costs those shards
-    // nothing. New or endpoint-moved shards get a fresh pool.
+    // nothing. New or endpoint-moved shards get a fresh channel.
     if (carry != nullptr) {
       const auto it = carry->shards.find(info.id);
       if (it != carry->shards.end() &&
@@ -68,14 +88,14 @@ Router::EpochState::EpochState(std::shared_ptr<const ShardMap> m,
         continue;
       }
     }
-    auto state = std::make_shared<ShardState>();
-    state->info = info;
-    state->pool = std::make_unique<rpc::ClientPool>(
-        rpc::Endpoint::parse(info.endpoint), config.client,
-        config.pool_max_idle);
-    shards.emplace(info.id, std::move(state));
+    shards.emplace(info.id, std::make_shared<ShardState>(info, config.client));
   }
 }
+
+Router::ShardState::ShardState(ShardInfo shard,
+                               const rpc::ClientConfig& client)
+    : info(std::move(shard)),
+      channel(rpc::Endpoint::parse(info.endpoint), client) {}
 
 Router::Pin::Pin(Router* r, std::shared_ptr<EpochState> e)
     : router(r), ep(std::move(e)) {
@@ -203,13 +223,7 @@ void Router::probe_main() {
       ShardState& st = state(*ep, info.id);
       try {
         fault::Injector::instance().check(kHealthSite);
-        auto lease = st.pool->acquire();
-        try {
-          lease->ping();
-        } catch (...) {
-          lease.discard();
-          throw;
-        }
+        st.channel.ping();
         ep->health->record_probe_success(info.id);
       } catch (const IoError&) {
         ep->health->record_probe_failure(info.id, now_seconds());
@@ -257,25 +271,28 @@ svc::Response Router::subcall(ShardState& st, const svc::Request& sub) {
   svc::Response out;
   fault::with_retries(policy, "shard.route:" + st.info.id, [&] {
     fault::Injector::instance().check(kRouteSite);
-    auto lease = st.pool->acquire();
+    const auto t0 = std::chrono::steady_clock::now();
     try {
-      const auto t0 = std::chrono::steady_clock::now();
-      out = lease->call(sub);
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      std::lock_guard<std::mutex> lock(st.mu);
-      ++st.calls;
-      st.latencies.add(seconds);
+      out = st.channel.call(sub);
     } catch (...) {
-      lease.discard();
-      std::lock_guard<std::mutex> lock(st.mu);
-      ++st.calls;
-      ++st.errors;
+      record_call(st, std::nullopt);
       throw;
     }
+    record_call(st, std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
   });
   return out;
+}
+
+void Router::record_call(ShardState& st, std::optional<double> seconds) {
+  std::lock_guard<std::mutex> lock(st.mu);
+  ++st.calls;
+  if (seconds.has_value()) {
+    st.latencies.add(*seconds);
+  } else {
+    ++st.errors;
+  }
 }
 
 Router::SubResult Router::scatter_one(EpochState& ep,
@@ -285,11 +302,7 @@ Router::SubResult Router::scatter_one(EpochState& ep,
   SubResult result;
   result.act_as = act_as;
 
-  svc::Request sub;
-  sub.body = body;
-  sub.timeout_seconds = base.timeout_seconds;
-  sub.shard =
-      svc::ShardSelector{ep.map->epoch(), ep.map->ring_crc(), act_as};
+  const svc::Request sub = sub_request(*ep.map, base, body, act_as);
 
   // Dead-marked daemons are skipped on the first pass (no point eating
   // their connect timeouts); if health left us nothing, try everyone —
@@ -316,14 +329,7 @@ Router::SubResult Router::scatter_one(EpochState& ep,
       continue;
     }
     ep.health->record_success(id);
-    if (!sub_response.status.ok() &&
-        sub_response.status.code != svc::StatusCode::bad_request) {
-      // Capacity/deadline/stale-epoch refusal from this daemon: a
-      // replica (possibly still inside its reload grace window) may
-      // answer. BadRequest is semantic and final — every daemon would
-      // refuse the same way.
-      continue;
-    }
+    if (!is_final(sub_response)) continue;
     if (id != act_as) {
       std::lock_guard<std::mutex> slock(stats_mu_);
       ++stats_.failovers;
@@ -337,18 +343,59 @@ Router::SubResult Router::scatter_one(EpochState& ep,
 std::vector<Router::SubResult> Router::scatter(EpochState& ep,
                                                const svc::Request& base,
                                                const svc::QueryBody& body) {
-  std::vector<std::future<SubResult>> futures;
-  futures.reserve(ep.map->size());
-  for (const auto& info : ep.map->shards()) {
-    futures.push_back(std::async(std::launch::async,
-                                 [this, &ep, &base, &body, id = info.id] {
-                                   return scatter_one(ep, base, body, id);
-                                 }));
+  const auto& shards = ep.map->shards();
+  // Every live owner's sub-query goes out before any reply is awaited,
+  // so they are all in flight at once on their shards' channels.
+  std::vector<std::optional<rpc::Channel::Call>> calls(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::string& id = shards[i].id;
+    if (!ep.health->alive(id)) continue;
+    try {
+      fault::Injector::instance().check(kRouteSite);
+      calls[i] = state(ep, id).channel.start(
+          rpc::FrameType::request,
+          rpc::encode_request(sub_request(*ep.map, base, body, id)));
+    } catch (const IoError&) {
+      // Unreachable now: scatter_one below takes the shard.
+    }
   }
   std::vector<SubResult> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
+  results.reserve(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::string& id = shards[i].id;
+    if (calls[i].has_value()) {
+      if (auto answer = finish(ep, id, *calls[i])) {
+        results.push_back(SubResult{id, std::move(answer)});
+        continue;
+      }
+    }
+    // Failover runs here, on this worker: when several shards fail in
+    // one query, their failover chains run one after the other.
+    results.push_back(scatter_one(ep, base, body, id));
+  }
   return results;
+}
+
+std::optional<svc::Response> Router::finish(EpochState& ep,
+                                            const std::string& id,
+                                            rpc::Channel::Call& call) {
+  ShardState& st = state(ep, id);
+  rpc::Frame reply;
+  try {
+    reply = st.channel.wait(call);
+  } catch (const IoError&) {
+    record_call(st, std::nullopt);
+    return std::nullopt;
+  }
+  record_call(st, call.seconds);
+  svc::Response response = rpc::decode_response(reply.payload);
+  if (!is_final(response)) return std::nullopt;
+  {
+    std::lock_guard<std::mutex> slock(stats_mu_);
+    ++stats_.subqueries;
+  }
+  ep.health->record_success(id);
+  return response;
 }
 
 // ---- merge ---------------------------------------------------------------
@@ -573,7 +620,7 @@ svc::Response Router::merge_scattered(EpochState& ep,
 
 svc::Response Router::route(const svc::Request& request) {
   // Pin the epoch this query routes under: a concurrent reload_map swaps
-  // the current pointer but this query keeps its map/ring/pools — and
+  // the current pointer but this query keeps its map/ring/channels — and
   // the reload's drain waits for the pin to drop.
   const Pin pin(this, snapshot());
   try {
@@ -612,7 +659,9 @@ HandoverStats Router::reload_map(std::shared_ptr<const ShardMap> next) {
   stats.shards_retained = diff.retained.size();
 
   // Publish: new queries pin the new epoch from this instant. Retained
-  // shards share their ShardState (pool, latency history, health).
+  // shards share their ShardState (channel, latency history, health);
+  // the ShardStates it replaced close their channels when the last
+  // query pinned to `old` lets go of them.
   auto fresh = std::make_shared<EpochState>(next, config_, old.get());
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
@@ -640,17 +689,6 @@ HandoverStats Router::reload_map(std::shared_ptr<const ShardMap> next) {
   stats.drain_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-
-  // Retire the pools the new epoch did NOT carry over: their idle
-  // connections close now, and any lease still held by an abandoned
-  // old-epoch query is discarded on return — a retired-epoch connection
-  // never serves the new ring.
-  for (const auto& [id, st] : old->shards) {
-    const auto it = fresh->shards.find(id);
-    if (it == fresh->shards.end() || it->second.get() != st.get()) {
-      st->pool->retire();
-    }
-  }
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -693,15 +731,8 @@ json::Value Router::stats_json() const {
       for (const auto& [id, st] : ep->shards) {
         if (!ep->health->alive(id)) continue;
         try {
-          auto lease = st->pool->acquire();
-          try {
-            json::Value v = lease->server_stats();
-            dataset_ = v.at("dataset").as_string();
-            break;
-          } catch (...) {
-            lease.discard();
-            throw;
-          }
+          dataset_ = st->channel.server_stats().at("dataset").as_string();
+          break;
         } catch (const IoError&) {
           continue;
         }
@@ -763,16 +794,11 @@ json::Value Router::stats_json() const {
       s["latency_p99"] = json::Value(
           st->latencies.empty() ? 0.0 : st->latencies.percentile(99.0));
     }
-    const auto pool_stats = st->pool->stats();
-    json::Object pool;
-    pool["created"] =
-        json::Value(static_cast<std::int64_t>(pool_stats.created));
-    pool["reused"] = json::Value(static_cast<std::int64_t>(pool_stats.reused));
-    pool["discarded"] =
-        json::Value(static_cast<std::int64_t>(pool_stats.discarded));
-    pool["idle"] = json::Value(static_cast<std::int64_t>(pool_stats.idle));
-    s["pool"] = json::Value(std::move(pool));
-    shard_arr.push_back(json::Value(std::move(s)));
+    const auto channel = st->channel.stats();
+    s["connects"] = json::Value(static_cast<std::int64_t>(channel.connects));
+    s["in_flight"] =
+        json::Value(static_cast<std::int64_t>(channel.in_flight));
+    shard_arr.emplace_back(std::move(s));
   }
   router["shards"] = json::Value(std::move(shard_arr));
 

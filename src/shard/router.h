@@ -9,7 +9,9 @@
 // the map ("answer for the blocks you own under epoch E"), gathers the
 // partial answers, and merges them EXACTLY (svc/merge.h + gs::ExactStats
 // integer accumulators), so a routed answer is byte-identical to a
-// single daemon scanning the whole dataset.
+// single daemon scanning the whole dataset. The scatter spawns no
+// threads: each shard has one multiplexed rpc::Channel, and the routing
+// worker puts every shard's sub-query in flight before awaiting any.
 //
 // Failure handling:
 //   * every shard has a HealthTracker entry with mark-dead / mark-live
@@ -21,7 +23,8 @@
 //     same dataset directory, so any daemon can act_as a dead owner and
 //     answer bit-exactly); transient transport errors inside one
 //     candidate are absorbed by fault::with_retries (fault site
-//     "shard.route" fires before each dial);
+//     "shard.route" fires before each send). Failover runs on the
+//     routing worker, so shards failing in one query fail over in turn;
 //   * when no candidate answers for a shard, the router degrades
 //     explicitly: the merged answer covers the blocks it has,
 //     Response::degraded is set, bad_blocks counts the missing blocks,
@@ -29,17 +32,19 @@
 //     wrong answer.
 //
 // Epoch handover (reload_map): membership lives in an immutable
-// EpochState (map + ring + health + per-shard pools) behind one
+// EpochState (map + ring + health + per-shard channels) behind one
 // shared_ptr. Every query pins the state it started under, so a reload
 // is a two-phase flip: validate the candidate map, publish a NEW state
-// atomically (new queries route under the new ring immediately; pools
+// atomically (new queries route under the new ring immediately; channels
 // and health of unchanged shards carry over), then wait — bounded by
-// drain_timeout_ms — for the old state's in-flight queries to finish
-// before retiring its replaced connection pools. A query pinned to the
-// old epoch either completes there (daemons keep the previous epoch
-// answerable through a grace window) or degrades explicitly; it is never
-// answered under a ring it did not pin. Fault sites: "shard.reload"
-// (validation), "shard.drain" (between publish and drain).
+// drain_timeout_ms — for the old state's in-flight queries to finish. A
+// shard state the new epoch did not carry over is then reachable only
+// from the old one, and its channel closes when the last pinned query
+// or snapshot lets go of it. A query pinned to the old epoch either
+// completes there (daemons keep the previous epoch answerable through a
+// grace window) or degrades explicitly; it is never answered under a
+// ring it did not pin. Fault sites: "shard.reload" (validation),
+// "shard.drain" (between publish and drain).
 #pragma once
 
 #include <atomic>
@@ -57,8 +62,8 @@
 
 #include "common/stats.h"
 #include "config/json.h"
+#include "rpc/channel.h"
 #include "rpc/client.h"
-#include "rpc/pool.h"
 #include "rpc/server.h"
 #include "shard/health.h"
 #include "shard/map.h"
@@ -68,8 +73,9 @@
 namespace gs::shard {
 
 struct RouterConfig {
-  /// Scatter-gather worker threads (one client query each; the scatter
-  /// itself fans out to every shard concurrently).
+  /// Scatter-gather worker threads, one client query each. A worker
+  /// sends every shard's sub-query before awaiting any, so one query's
+  /// sub-queries run concurrently without a thread per shard.
   std::size_t workers = 4;
   /// Admission-queue bound; 0 disables admission control.
   std::size_t queue_capacity = 64;
@@ -85,7 +91,6 @@ struct RouterConfig {
   HealthConfig health;
   /// Per-shard connection settings (dial/io/call timeouts, wire retries).
   rpc::ClientConfig client;
-  std::size_t pool_max_idle = 4;
   /// Epoch handover: how long reload_map waits for queries pinned to the
   /// old epoch to finish before abandoning the wait (they still complete;
   /// only the bookkeeping stops blocking). <= 0 skips the wait.
@@ -108,7 +113,7 @@ struct RouterStats {
 
 class Router : public rpc::Handler {
  public:
-  /// Builds the ring, dials nothing yet (pools connect lazily), starts
+  /// Builds the ring, dials nothing yet (channels connect lazily), starts
   /// the workers and the probe thread.
   Router(std::shared_ptr<const ShardMap> map, RouterConfig config = {});
   ~Router() override;
@@ -129,10 +134,11 @@ class Router : public rpc::Handler {
 
   /// Adopts `next` as the routing epoch (the router half of a handover).
   /// Validates (throws gs::Error and keeps routing the old epoch on a bad
-  /// map), publishes the new EpochState atomically — connection pools and
-  /// health state of shards whose (id, endpoint) survive carry over —
-  /// then drains the old epoch's in-flight queries behind
-  /// config().drain_timeout_ms and retires the pools it replaced.
+  /// map), publishes the new EpochState atomically — channels and health
+  /// state of shards whose (id, endpoint) survive carry over — then
+  /// drains the old epoch's in-flight queries behind
+  /// config().drain_timeout_ms. The channels it replaced close once
+  /// nothing pins the old epoch.
   /// Serialized against concurrent reloads; never blocks queries.
   HandoverStats reload_map(std::shared_ptr<const ShardMap> next);
 
@@ -148,8 +154,10 @@ class Router : public rpc::Handler {
 
  private:
   struct ShardState {
+    ShardState(ShardInfo shard, const rpc::ClientConfig& client);
+
     ShardInfo info;
-    std::unique_ptr<rpc::ClientPool> pool;
+    rpc::Channel channel;
     mutable std::mutex mu;  ///< guards the three members below
     Samples latencies;      ///< seconds per successful sub-call
     std::uint64_t calls = 0;
@@ -160,7 +168,7 @@ class Router : public rpc::Handler {
   /// query pins the EpochState it started under via shared_ptr, so a
   /// reload can swap the current pointer without touching queries in
   /// flight. ShardStates are shared between consecutive epochs when the
-  /// shard's (id, endpoint) is unchanged — pools and latency history
+  /// shard's (id, endpoint) is unchanged — channels and latency history
   /// survive a flip.
   struct EpochState {
     std::shared_ptr<const ShardMap> map;
@@ -205,9 +213,14 @@ class Router : public rpc::Handler {
 
   svc::Response route(const svc::Request& request);
   /// Scatters `body` (with a ShardSelector per shard) to every shard of
-  /// the pinned epoch concurrently, gathering in map order.
+  /// the pinned epoch, all live owners at once, gathering in map order;
+  /// a shard whose owner gave no final answer goes through scatter_one.
   std::vector<SubResult> scatter(EpochState& ep, const svc::Request& base,
                                  const svc::QueryBody& body);
+  /// The owner's reply to a scattered sub-query when it is final for the
+  /// shard; nullopt hands the shard to scatter_one.
+  std::optional<svc::Response> finish(EpochState& ep, const std::string& id,
+                                      rpc::Channel::Call& call);
   /// One shard's sub-query through its failover candidates.
   SubResult scatter_one(EpochState& ep, const svc::Request& base,
                         const svc::QueryBody& body,
@@ -216,9 +229,12 @@ class Router : public rpc::Handler {
   /// deterministic ring-derived order.
   std::vector<std::string> candidates(const EpochState& ep,
                                       const std::string& act_as) const;
-  /// One call on one daemon's pooled connection; throws IoError on
-  /// transport failure (after fault::with_retries' attempts).
+  /// One call on one daemon's channel; throws IoError on transport
+  /// failure (after fault::with_retries' attempts).
   svc::Response subcall(ShardState& state, const svc::Request& sub);
+  /// Books one transport attempt on a shard: its round-trip seconds, or
+  /// an error when `seconds` is empty.
+  static void record_call(ShardState& state, std::optional<double> seconds);
 
   // Verb merges (each throws gs::Error -> internal_error on
   // disagreement between shards).

@@ -18,19 +18,18 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "bp/stream.h"
 #include "bp/writer.h"
+#include "common/checksum.h"
 #include "fault/fault.h"
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
+#include "rpc/channel.h"
 #include "rpc/client.h"
-#include "rpc/pool.h"
 #include "rpc/server.h"
 #include "rpc/wire.h"
 #include "svc/service.h"
@@ -773,102 +772,134 @@ TEST(RpcWire, TenantTagRoundTripsAndVersionOneFramesStillDecode) {
   EXPECT_TRUE(decode_request(bytes).tenant.empty());
 }
 
-// ---- connection pool -----------------------------------------------------
+// ---- multiplexed channel --------------------------------------------------
 
-TEST(RpcClientPool, ConcurrentLeaseReturnDiscardNeverDoubleLeases) {
+std::uint32_t identity_crc(const svc::Response& response) {
+  return gs::crc32(encode_answer_identity(response));
+}
+
+TEST(RpcChannel, ConcurrentCallersShareOneConnectionAndAnswerExactly) {
   gs::svc::Service service(dataset());
   Server server(service);
-  ClientPool pool(server.endpoint(), ClientConfig{}, /*max_idle=*/4);
+  Channel channel(server.endpoint(), ClientConfig{});
+
+  // Ground truth per (variable, step), computed in-process up front.
+  const auto request_of = [](int n) {
+    return stats_request(n % 2 ? "U" : "V", (n / 2) % kSteps);
+  };
+  std::vector<std::uint32_t> expected;
+  for (int n = 0; n < 2 * kSteps; ++n) {
+    expected.push_back(identity_crc(service.call(request_of(n))));
+  }
 
   constexpr int kThreads = 8;
   constexpr int kIters = 24;
-  std::mutex mu;
-  std::set<Client*> leased;  // clients currently out on lease
-  std::atomic<int> ok{0};
-  std::atomic<int> discards{0};
-  std::atomic<bool> double_lease{false};
-
+  std::atomic<int> exact{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        auto lease = pool.acquire();
-        {
-          const std::lock_guard<std::mutex> lock(mu);
-          // The same Client handed to two leases at once would insert a
-          // duplicate here.
-          if (!leased.insert(&*lease).second) double_lease = true;
+        const int n = (t + i) % (2 * kSteps);
+        const svc::Response r = channel.call(request_of(n));
+        if (r.status.ok() &&
+            identity_crc(r) == expected[static_cast<std::size_t>(n)]) {
+          ++exact;
         }
-        if (lease->field_stats("U", i % kSteps).ok()) ++ok;
-        if ((t + i) % 5 == 0) {
-          lease.discard();  // suspect connection: must not be pooled
-          ++discards;
-        }
-        {
-          const std::lock_guard<std::mutex> lock(mu);
-          leased.erase(&*lease);
-        }
-        // ~Lease here: give_back happens-after the erase above, so a
-        // recycled pointer can never look double-leased.
       }
     });
   }
   for (auto& w : workers) w.join();
 
-  EXPECT_FALSE(double_lease.load());
-  EXPECT_EQ(ok.load(), kThreads * kIters);
-  EXPECT_TRUE(leased.empty());
-
-  const auto st = pool.stats();
-  // Every acquire was either a fresh dial or an idle-list pop, and every
-  // discard really dropped its client (discarded clients are the only
-  // ones that leave the pool besides the max_idle overflow trim).
-  EXPECT_EQ(st.created + st.reused,
-            static_cast<std::uint64_t>(kThreads * kIters));
-  EXPECT_EQ(st.discarded, static_cast<std::uint64_t>(discards.load()));
-  EXPECT_GT(st.reused, 0u);
-  EXPECT_LE(st.idle, 4u);
-
-  // The pool still serves healthy connections after all that churn.
-  auto lease = pool.acquire();
-  EXPECT_TRUE(lease->field_stats("V", 0).ok());
+  EXPECT_EQ(exact.load(), kThreads * kIters);
+  EXPECT_EQ(server.stats().accepted, 1u)
+      << "every caller must share the channel's one connection";
+  EXPECT_EQ(channel.stats().connects, 1u);
+  EXPECT_EQ(channel.stats().in_flight, 0u);
   server.shutdown();
 }
 
-TEST(RpcClientPool, RetiredPoolDiscardsEveryLeaseAndStillDialsFresh) {
+TEST(RpcChannel, TornSendFailsEveryPendingCallAndTheNextCallRedials) {
   gs::svc::Service service(dataset());
   Server server(service);
-  ClientPool pool(server.endpoint(), ClientConfig{}, /*max_idle=*/4);
+  ClientConfig config;
+  config.call_timeout_ms = 5000;
+  Channel channel(server.endpoint(), config);
+  channel.ping();  // connect before arming the plan
+  const svc::Request after = stats_request("V", 2);
+  const std::uint32_t expected = identity_crc(service.call(after));
 
+  gs::fault::Plan plan;
+  // The server's connection thread stalls admitting the first request,
+  // so the calls sent behind it stay pending; the fourth send tears.
+  plan.delay_at("svc.admission", 0, 0.5);
+  plan.fail_at("rpc.write", 3);
+  const auto t0 = std::chrono::steady_clock::now();
   {
-    auto lease = pool.acquire();
-    lease->ping();
+    gs::fault::ScopedPlan scoped(plan);
+    std::vector<Channel::Call> calls;
+    for (int i = 0; i < 4; ++i) {
+      calls.push_back(channel.start(
+          FrameType::request, encode_request(stats_request("U", i % kSteps))));
+    }
+    for (auto& call : calls) {
+      EXPECT_THROW(channel.wait(call), gs::IoError);
+    }
   }
-  EXPECT_EQ(pool.stats().idle, 1u);
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_LT(waited_ms, static_cast<double>(config.call_timeout_ms))
+      << "a poisoned connection must fail its calls, not time them out";
+  EXPECT_EQ(channel.stats().in_flight, 0u);
 
-  {
-    auto held = pool.acquire();  // in flight when the epoch retires
-    held->ping();
-    pool.retire();
-    EXPECT_TRUE(pool.retired());
-    EXPECT_EQ(pool.stats().idle, 0u) << "idle connections close immediately";
-    // The lease keeps working mid-flip — the query pinned to the old
-    // epoch completes on its old connection...
-    EXPECT_TRUE(held->field_stats("U", 0).ok());
-  }
-  // ...but on return it is DISCARDED, never pooled: a connection leased
-  // under a retired epoch can never resurface to serve the next one.
-  EXPECT_EQ(pool.stats().idle, 0u);
-  EXPECT_EQ(pool.stats().discarded, 1u);
+  const svc::Response r = channel.call(after);
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
+  EXPECT_EQ(identity_crc(r), expected);
+  EXPECT_EQ(channel.stats().connects, 2u) << "the next call redials";
+  server.shutdown();
+}
 
-  // acquire() still works (each call dials fresh) so mid-flip failover
-  // keeps its transport; the fresh connection is discarded on return too.
-  {
-    auto fresh = pool.acquire();
-    EXPECT_TRUE(fresh->field_stats("V", 0).ok());
+TEST(RpcChannel, ReplyAfterTimeoutIsDroppedNeverHandedToALaterCall) {
+  gs::svc::Service service(dataset());
+  Server server(service);
+  ClientConfig config;
+  config.call_timeout_ms = 500;
+  config.retries = 1;
+  Channel channel(server.endpoint(), config);
+  channel.ping();
+  const svc::Request late = stats_request("U", 0);
+  const svc::Request next = stats_request("V", 2);
+  const std::uint32_t late_crc = identity_crc(service.call(late));
+  const std::uint32_t next_crc = identity_crc(service.call(next));
+  ASSERT_NE(late_crc, next_crc);
+
+  gs::fault::Plan plan;
+  // Holds `late` in admission 250 ms past its caller's timeout; `next`
+  // queues behind it and is answered well inside its own.
+  plan.delay_at("svc.admission", 0, 0.75);
+  gs::fault::ScopedPlan scoped(plan);
+
+  Channel::Call first =
+      channel.start(FrameType::request, encode_request(late));
+  EXPECT_THROW(channel.wait(first), gs::IoError);
+  EXPECT_EQ(channel.stats().in_flight, 0u)
+      << "a timed-out call abandons its id";
+
+  const svc::Response r = channel.call(next);
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
+  EXPECT_EQ(identity_crc(r), next_crc);
+
+  // The late reply did arrive (the server answered both) and was
+  // dropped; the connection stayed up and keeps answering exactly.
+  for (int i = 0; i < 200 && server.stats().responses < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(pool.stats().idle, 0u);
-  EXPECT_EQ(pool.stats().discarded, 2u);
+  EXPECT_EQ(server.stats().responses, 2u);
+  const svc::Response again = channel.call(late);
+  ASSERT_TRUE(again.status.ok()) << again.status.message;
+  EXPECT_EQ(identity_crc(again), late_crc);
+  EXPECT_EQ(channel.stats().connects, 1u) << "a timeout keeps the connection";
+  EXPECT_EQ(channel.stats().in_flight, 0u);
   server.shutdown();
 }
 

@@ -13,10 +13,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <random>
@@ -29,7 +31,6 @@
 #include "fault/fault.h"
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
-#include "rpc/pool.h"
 #include "rpc/server.h"
 #include "rpc/wire.h"
 #include "shard/health.h"
@@ -408,38 +409,6 @@ TEST(ShardWire, PlainFramesStayCompatible) {
   EXPECT_FALSE(rback.partial.has_value());
 }
 
-// ---- client pool ---------------------------------------------------------
-
-TEST(ClientPool, ReusesReturnedConnectionsAndDropsDiscarded) {
-  svc::Service service(dataset(), svc::ServiceConfig{});
-  rpc::ServerConfig server_config;
-  server_config.listen = "unix:" + temp_path("pool") + ".sock";
-  rpc::Server server(service, server_config);
-
-  rpc::ClientPool pool(server.endpoint(), rpc::ClientConfig{}, 4);
-  {
-    auto lease = pool.acquire();
-    lease->ping();
-  }
-  EXPECT_EQ(pool.stats().created, 1u);
-  EXPECT_EQ(pool.stats().idle, 1u);
-  {
-    auto lease = pool.acquire();
-    lease->ping();
-    auto second = pool.acquire();  // idle list empty -> new dial
-    second->ping();
-  }
-  EXPECT_EQ(pool.stats().created, 2u);
-  EXPECT_EQ(pool.stats().reused, 1u);
-  EXPECT_EQ(pool.stats().idle, 2u);
-  {
-    auto lease = pool.acquire();
-    lease.discard();
-  }
-  EXPECT_EQ(pool.stats().discarded, 1u);
-  EXPECT_EQ(pool.stats().idle, 1u);
-}
-
 // ---- partial execution on the daemon -------------------------------------
 
 class ShardPartial : public ::testing::Test {
@@ -680,6 +649,64 @@ TEST(ShardRouter, SingleShardClusterIsJustAProxy) {
   Cluster cluster(1, {}, "one");
   svc::Service single(dataset(), svc::ServiceConfig{});
   expect_identical_answers(*cluster.router, single, "1-shard");
+}
+
+/// Threads of this process right now.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ShardRouter, ThreadCountStaysConstantUnderLoad) {
+  shard::RouterConfig config;
+  config.queue_capacity = 0;  // admit every query: all workers stay busy
+  Cluster cluster(8, config, "threads");
+  const std::vector<svc::QueryBody> bodies = all_verbs();
+  const auto run = [&](std::size_t n) {
+    std::vector<std::future<svc::Response>> answers;
+    for (std::size_t q = 0; q < n; ++q) {
+      svc::Request request;
+      request.body = bodies[q % bodies.size()];
+      answers.push_back(cluster.router->submit(std::move(request)));
+    }
+    std::size_t ok = 0;
+    for (auto& a : answers) ok += a.get().status.ok() ? 1 : 0;
+    return ok;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> armed{false};
+  std::atomic<std::size_t> peak{0};
+  std::atomic<std::size_t> samples{0};
+  std::thread sampler([&] {
+    while (!stop.load()) {
+      if (armed.load()) {
+        const std::size_t now = thread_count();
+        if (now > peak.load()) peak.store(now);
+        ++samples;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  // Warm-up: dials every shard's channel and starts whatever the
+  // daemons create lazily, so the baseline is the steady state.
+  const std::size_t warm = run(48);
+  const std::size_t baseline = thread_count();
+  armed.store(true);
+  const std::size_t ok = run(200);
+  armed.store(false);
+  stop.store(true);
+  sampler.join();
+
+  EXPECT_EQ(warm, 48u);
+  EXPECT_EQ(ok, 200u);
+  ASSERT_GT(samples.load(), 0u);
+  EXPECT_EQ(peak.load(), baseline)
+      << "routing 200 queries over 8 shards started threads";
 }
 
 // ---- epoch handover: candidate validation --------------------------------
@@ -1019,13 +1046,13 @@ TEST(Reshard, ServiceKeepsPreviousEpochAnswerableThroughGraceOnly) {
 
 // ---- epoch handover: the router flip -------------------------------------
 
-TEST(ShardRouter, ReloadMapFlipsEpochCarriesPoolsAndStaysExact) {
+TEST(ShardRouter, ReloadMapFlipsEpochCarriesChannelsAndStaysExact) {
   Cluster cluster(3, {}, "reload");
   svc::Service single(dataset(), svc::ServiceConfig{});
   expect_identical_answers(*cluster.router, single, "before flip");
 
   // Same membership, retuned vnodes: every shard retained, placement
-  // changes, pools and health must carry over.
+  // changes, channels and health must carry over.
   std::vector<shard::ShardInfo> infos(cluster.map->shards().begin(),
                                       cluster.map->shards().end());
   const auto next =
@@ -1048,7 +1075,8 @@ TEST(ShardRouter, ReloadMapFlipsEpochCarriesPoolsAndStaysExact) {
   // pre-flip calls are still counted under the new epoch.
   const gs::json::Value v = cluster.router->stats_json();
   for (const auto& s : v.at("router").at("shards").as_array()) {
-    EXPECT_GE(s.at("calls").as_int(), 1) << "pool/state not carried over";
+    EXPECT_GE(s.at("calls").as_int(), 1) << "channel/state not carried over";
+    EXPECT_EQ(s.at("connects").as_int(), 1) << "a retained channel redialed";
   }
   EXPECT_EQ(v.at("router").at("handover").at("epoch_to").as_int(), 2);
 
@@ -1057,6 +1085,47 @@ TEST(ShardRouter, ReloadMapFlipsEpochCarriesPoolsAndStaysExact) {
   EXPECT_THROW(cluster.router->reload_map(next), gs::Error);
   EXPECT_EQ(cluster.router->map()->epoch(), 2u);
   expect_identical_answers(*cluster.router, single, "after rejected flip");
+}
+
+TEST(ShardRouter, MovedEndpointClosesTheOldConnectionAfterTheDrain) {
+  Cluster cluster(3, {}, "moved");
+  svc::Service single(dataset(), svc::ServiceConfig{});
+  expect_identical_answers(*cluster.router, single, "before move");
+  rpc::Server& old_daemon = *cluster.servers[1];
+  EXPECT_EQ(old_daemon.stats().active, 1u)
+      << "the router holds one channel per shard";
+
+  // s1 keeps its id but moves to a new daemon on a new endpoint.
+  std::vector<shard::ShardInfo> infos(cluster.map->shards().begin(),
+                                      cluster.map->shards().end());
+  infos[1].endpoint = "unix:" + temp_path("cluster-moved-new1") + ".sock";
+  const auto next =
+      std::make_shared<const shard::ShardMap>(2, 64, std::move(infos));
+  svc::ServiceConfig config;
+  config.shard_map = next;
+  svc::Service moved(dataset(), std::move(config));
+  rpc::ServerConfig server_config;
+  server_config.listen = next->shards()[1].endpoint;
+  rpc::Server new_daemon(moved, server_config);
+  for (auto& service : cluster.services) service->reload_shard_map(next);
+
+  const shard::HandoverStats stats = cluster.router->reload_map(next);
+  EXPECT_EQ(stats.shards_moved, 1u);
+  EXPECT_TRUE(stats.drained);
+
+  // Nothing pins the old epoch any more, so the moved shard's old channel
+  // closes (a probe round may hold its snapshot a moment longer).
+  for (int i = 0; i < 200 && old_daemon.stats().active != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(old_daemon.stats().active, 0u)
+      << "a retired epoch's connection outlived the drain";
+
+  const std::uint64_t old_frames = old_daemon.stats().frames_in;
+  expect_identical_answers(*cluster.router, single, "after move");
+  EXPECT_EQ(old_daemon.stats().frames_in, old_frames)
+      << "a post-flip query reached the old endpoint";
+  EXPECT_GT(new_daemon.stats().responses, 0u);
 }
 
 TEST(ShardRouter, ReloadMapGrowsTheClusterLive) {
