@@ -7,6 +7,7 @@
 // develops), then re-prices the Figure 8 write sweep with the measured
 // ratio.
 #include <cstdio>
+#include <cstring>
 
 #include "bp/compress.h"
 #include "common/clock.h"
@@ -29,7 +30,8 @@ int main() {
 
   std::printf("Compression ratio of the U field as the pattern evolves\n");
   std::printf("(%lld^3 cells, noise off):\n\n", (long long)L);
-  gs::TableFormatter t({"step", "U ratio", "V ratio", "encode MB/s"});
+  gs::TableFormatter t(
+      {"step", "U ratio", "V ratio", "encode MB/s", "decode MB/s"});
   double late_ratio = 1.0;
   std::int64_t done = 0;
   for (const std::int64_t upto : {0LL, 50LL, 200LL, 800LL}) {
@@ -37,16 +39,27 @@ int main() {
     done = upto;
     const auto u_data = u.interior_copy();
     const auto v_data = v.interior_copy();
+    const double mb = static_cast<double>(u_data.size() * 8) / 1e6;
     gs::WallTimer timer;
     const auto packed = gs::bp::compress_doubles(u_data);
-    const double mbps = static_cast<double>(u_data.size() * 8) /
-                        timer.seconds() / 1e6;
+    const double encode_mbps = mb / timer.seconds();
+    timer.reset();
+    const auto decoded = gs::bp::decompress_doubles(packed);
+    const double decode_mbps = mb / timer.seconds();
+    if (decoded.size() != u_data.size() ||
+        std::memcmp(decoded.data(), u_data.data(),
+                    u_data.size() * sizeof(double)) != 0) {
+      std::fprintf(stderr, "step %lld: decode does not round-trip\n",
+                   (long long)upto);
+      return 1;
+    }
     const double ur = static_cast<double>(u_data.size() * 8) /
                       static_cast<double>(packed.size());
     const double vr = gs::bp::compression_ratio(v_data);
     late_ratio = ur;
     t.row({std::to_string(upto), gs::format_fixed(ur, 2),
-           gs::format_fixed(vr, 2), gs::format_fixed(mbps, 0)});
+           gs::format_fixed(vr, 2), gs::format_fixed(encode_mbps, 0),
+           gs::format_fixed(decode_mbps, 0)});
   }
   std::printf("%s\n", t.str().c_str());
 

@@ -207,9 +207,9 @@ int main(int argc, char** argv) try {
     const auto stats = server.stats();
     const double p50 = r.latencies.percentile(50);
     const double p99 = r.latencies.percentile(99);
+    const double rps = elapsed > 0 ? r.exact / elapsed : 0.0;
     if (n_clients == 1) idle_p99 = p99;
-    table.row({std::to_string(n_clients),
-               gs::format_fixed(elapsed > 0 ? r.exact / elapsed : 0.0, 1),
+    table.row({std::to_string(n_clients), gs::format_fixed(rps, 1),
                gs::format_seconds(p50),
                gs::format_seconds(r.latencies.percentile(95)),
                gs::format_seconds(p99),
@@ -223,6 +223,8 @@ int main(int argc, char** argv) try {
                   bench::fmt("p50 %.3f ms", p50 * 1e3));
       gates.metric("idle_p50_ms", p50 * 1e3);
     }
+    gates.metric(bench::fmt("rps_%zu", n_clients), rps, 1);
+    gates.metric(bench::fmt("p99_ms_%zu", n_clients), p99 * 1e3);
     check_tail(gates, pass, n_clients, p99, idle_p99);
     gates.check(pass + " pass drains every connection", stats.active == 0,
                 bench::fmt("%llu still active",

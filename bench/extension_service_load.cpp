@@ -4,17 +4,23 @@
 // output through the admission queue, worker pool, and block cache.
 //
 // Phases:
-//   1. generate a real solver dataset (8 ranks through the workflow);
+//   1. generate a real solver dataset (8 ranks through the workflow),
+//      Gorilla-compressed so that every block a query touches is
+//      decoded into the block cache (uncompressed blocks are served as
+//      mmap views and never enter it);
 //   2. sweep 1..64 closed-loop clients, measuring throughput and tail
-//      latency on a cold block cache and again on a warm one;
+//      latency on a cold block cache and again on a warm one, and
+//      checking the cache's own counters: the cold pass starts empty and
+//      every block it holds came in through a miss, the warm pass hits;
 //   3. admission control: a 64-client burst against a tiny bounded
 //      queue must produce ServerBusy rejects (backpressure) while an
 //      unbounded queue absorbs the same burst with none;
 //   4. accounting: every submitted request is resolved exactly once.
 //
-// Exit status is nonzero if the warm cache fails to beat the cold pass
-// or any request is dropped — this is a regression gate, not a demo.
-// Every gate is fatal.
+// Exit status is nonzero if the cache counters do not show the cold and
+// warm passes above, the warm cache fails to beat the cold pass, or any
+// request is dropped — this is a regression gate, not a demo. Every
+// gate is fatal.
 //
 // Default scale finishes in seconds (CI smoke); pass a multiplier to
 // scale requests per client, e.g. `extension_service_load 4`.
@@ -125,8 +131,10 @@ int main(int argc, char** argv) try {
 
   // Phase 1: a real solver dataset, 8 ranks through the workflow.
   const bench::ScratchDir scratch("svc_load");
-  const bench::Dataset ds = bench::make_dataset(scratch.file("data.bp"));
-  std::printf("dataset: %s  (L=%lld, %lld output steps, 8 blocks/step)\n\n",
+  const bench::Dataset ds =
+      bench::make_dataset(scratch.file("data.bp"), /*compress=*/true);
+  std::printf("dataset: %s  (L=%lld, %lld output steps, 8 blocks/step, "
+              "Gorilla-compressed)\n\n",
               ds.path.c_str(), (long long)ds.L, (long long)ds.n_steps);
   bench::Gates gates("service_load");
 
@@ -141,16 +149,42 @@ int main(int argc, char** argv) try {
     config.queue_capacity = 0;  // sweep measures service time, not rejects
     gs::svc::Service service(ds.path, std::move(config));
     const char* names[2] = {"cold", "warm"};
+    double cold_hit_rate = 0.0;
     for (int pass = 0; pass < 2; ++pass) {
+      const gs::svc::CacheStats before = service.metrics().cache;
       const auto r =
           run_pass(service, n_clients, reqs_per_client, ds.n_steps, ds.L);
-      const auto m = service.metrics();
+      const gs::svc::CacheStats after = service.metrics().cache;
+      gs::svc::CacheStats delta;
+      delta.hits = after.hits - before.hits;
+      delta.misses = after.misses - before.misses;
       table.row({std::to_string(n_clients), names[pass],
                  gs::format_fixed(r.throughput(), 1),
                  gs::format_seconds(r.latencies.percentile(50)),
                  gs::format_seconds(r.latencies.percentile(95)),
                  gs::format_seconds(r.latencies.percentile(99)),
-                 gs::format_fixed(100.0 * m.cache.hit_rate(), 1)});
+                 gs::format_fixed(100.0 * delta.hit_rate(), 1)});
+      const std::string counters = bench::fmt(
+          "before hits=%llu misses=%llu; pass hits=%llu misses=%llu; "
+          "resident entries=%zu",
+          (unsigned long long)before.hits, (unsigned long long)before.misses,
+          (unsigned long long)delta.hits, (unsigned long long)delta.misses,
+          after.entries);
+      if (pass == 0) {
+        cold_hit_rate = delta.hit_rate();
+        gates.check(
+            bench::fmt("%zu-client cold pass: cache starts empty, first "
+                       "touches miss",
+                       n_clients),
+            before.hits + before.misses + before.entries == 0 &&
+                after.entries > 0 && delta.misses >= after.entries,
+            counters);
+      } else {
+        gates.check(
+            bench::fmt("%zu-client warm pass hits the cache", n_clients),
+            delta.hits > 0 && delta.hit_rate() > cold_hit_rate,
+            counters + bench::fmt("; cold hit rate %.3f", cold_hit_rate));
+      }
       gates.check(
           bench::fmt("%zu-client %s sweep drops no request", n_clients,
                      names[pass]),

@@ -30,7 +30,7 @@ std::string fmt(const char* format, ...) {
 
 // ---- dataset and queries --------------------------------------------------
 
-Dataset make_dataset(const std::string& path) {
+Dataset make_dataset(const std::string& path, bool compress) {
   Settings settings;
   settings.L = 32;
   settings.steps = 20;
@@ -38,6 +38,7 @@ Dataset make_dataset(const std::string& path) {
   settings.noise = 0.1;
   settings.output = path;
   settings.ranks_per_node = 4;
+  settings.compress = compress;
   mpi::run(8, [&](mpi::Comm& world) {
     core::Workflow wf(settings, world);
     wf.run();

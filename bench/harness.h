@@ -47,8 +47,10 @@ struct Dataset {
 
 /// Runs the workflow at L=32 for 20 steps with an output every 4 (5
 /// output steps) and noise 0.1, on 8 ranks at 4 per node (8 blocks per
-/// variable and step), writing the dataset to `path`.
-Dataset make_dataset(const std::string& path);
+/// variable and step), writing the dataset to `path`. With `compress`
+/// the blocks are Gorilla-encoded, so a svc::Service decodes them into
+/// its BlockCache instead of serving zero-copy mmap views.
+Dataset make_dataset(const std::string& path, bool compress = false);
 
 /// The 5-verb query mix (list, stats, histogram, slice, read_box) over
 /// a dataset of `n_steps` output steps and extent L. Query q's step and

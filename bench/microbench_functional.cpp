@@ -118,15 +118,19 @@ void BM_HaloPackUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_HaloPackUnpack);
 
-void BM_GorillaCompress(benchmark::State& state) {
-  // Developed-pattern field: the realistic (least compressible) input.
+// Developed-pattern field: the realistic (least compressible) input.
+std::vector<double> developed_field() {
   const std::int64_t L = 32;
   gs::Field3 u({L, L, L}), v({L, L, L});
   gs::core::initialize_fields(u, v, {{0, 0, 0}, {L, L, L}}, L);
   gs::core::GsParams p;
   p.noise = 0.0;
   gs::core::reference_run(u, v, p, 1, 100, L);
-  const auto data = u.interior_copy();
+  return u.interior_copy();
+}
+
+void BM_GorillaCompress(benchmark::State& state) {
+  const auto data = developed_field();
   for (auto _ : state) {
     auto packed = gs::bp::compress_doubles(data);
     benchmark::DoNotOptimize(packed.data());
@@ -150,6 +154,19 @@ void BM_GorillaDecompress(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()) * 8);
 }
 BENCHMARK(BM_GorillaDecompress);
+
+void BM_GorillaDecompressDeveloped(benchmark::State& state) {
+  // Decode throughput on the developed field: bytes/s of doubles out.
+  const auto data = developed_field();
+  const auto packed = gs::bp::compress_doubles(data);
+  for (auto _ : state) {
+    auto out = gs::bp::decompress_doubles(packed);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()) * 8);
+}
+BENCHMARK(BM_GorillaDecompressDeveloped);
 
 void BM_BpWriteReadCycle(benchmark::State& state) {
   const std::int64_t L = 24;

@@ -7,52 +7,84 @@
 
 namespace gs::bp {
 
-// -------------------------------------------------------------- BitWriter
+namespace {
 
-void BitWriter::put_bit(bool bit) {
-  current_ = static_cast<std::uint8_t>((current_ << 1) | (bit ? 1 : 0));
-  if (++filled_ == 8) {
-    bytes_.push_back(static_cast<std::byte>(current_));
-    current_ = 0;
-    filled_ = 0;
+// Big-endian <-> host order for one 64-bit word: the stream is MSB-first.
+std::uint64_t big_endian(std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(w);
   }
-  ++bit_count_;
+  return w;
 }
+
+}  // namespace
+
+// -------------------------------------------------------------- BitWriter
 
 void BitWriter::put_bits(std::uint64_t value, int n_bits) {
   GS_ASSERT(n_bits >= 0 && n_bits <= 64, "put_bits width out of range");
-  for (int b = n_bits - 1; b >= 0; --b) {
-    put_bit(((value >> b) & 1ULL) != 0);
+  if (n_bits == 0) return;
+  value &= ~std::uint64_t{0} >> (64 - n_bits);
+  const int room = 64 - filled_;
+  if (n_bits < room) {
+    acc_ = (acc_ << n_bits) | value;
+    filled_ += n_bits;
+    return;
   }
+  // The accumulator fills up: emit it as one word and keep the rest.
+  const int rest = n_bits - room;
+  append_word(((acc_ << (room - 1)) << 1) | (value >> rest));
+  acc_ = value & ((std::uint64_t{1} << rest) - 1);
+  filled_ = rest;
+}
+
+void BitWriter::append_word(std::uint64_t word) {
+  const std::size_t at = bytes_.size();
+  bytes_.resize(at + sizeof(word));
+  word = big_endian(word);
+  std::memcpy(bytes_.data() + at, &word, sizeof(word));
 }
 
 std::vector<std::byte> BitWriter::finish() {
-  if (filled_ > 0) {
-    bytes_.push_back(
-        static_cast<std::byte>(current_ << (8 - filled_)));
-    current_ = 0;
-    filled_ = 0;
+  // Zero-pad the pending bits to whole bytes, then emit them MSB-first.
+  const int pad = (8 - filled_ % 8) % 8;
+  acc_ <<= pad;
+  for (int left = filled_ + pad; left > 0; left -= 8) {
+    bytes_.push_back(std::byte{static_cast<std::uint8_t>(acc_ >> (left - 8))});
   }
+  acc_ = 0;
+  filled_ = 0;
   return std::move(bytes_);
 }
 
 // -------------------------------------------------------------- BitReader
 
-bool BitReader::get_bit() {
-  const std::size_t byte_idx = pos_ / 8;
-  GS_REQUIRE(byte_idx < data_.size(), "bit stream exhausted");
-  const int bit_idx = 7 - static_cast<int>(pos_ % 8);
-  ++pos_;
-  return (static_cast<std::uint8_t>(data_[byte_idx]) >> bit_idx) & 1;
-}
-
-std::uint64_t BitReader::get_bits(int n_bits) {
-  GS_ASSERT(n_bits >= 0 && n_bits <= 64, "get_bits width out of range");
-  std::uint64_t v = 0;
-  for (int b = 0; b < n_bits; ++b) {
-    v = (v << 1) | (get_bit() ? 1ULL : 0ULL);
+std::uint64_t BitReader::get_bits_refill(int n_bits) {
+  // Drain the window, then load the next word: 8 bytes, or at the end
+  // of the stream whatever bytes are left, one at a time.
+  const int have = avail_;
+  const std::uint64_t hi = (window_ >> 1) >> (63 - have);  // 0 if have == 0
+  const std::size_t left = data_.size() - next_;
+  if (left >= sizeof(window_)) {
+    std::memcpy(&window_, data_.data() + next_, sizeof(window_));
+    window_ = big_endian(window_);
+    next_ += sizeof(window_);
+    avail_ = 64;
+  } else {
+    window_ = 0;
+    for (std::size_t i = 0; i < left; ++i) {
+      window_ |= std::to_integer<std::uint64_t>(data_[next_ + i])
+                 << (56 - 8 * i);
+    }
+    next_ += left;
+    avail_ = static_cast<int>(8 * left);
   }
-  return v;
+  const int rest = n_bits - have;
+  GS_REQUIRE(rest <= avail_, "bit stream exhausted");
+  const std::uint64_t lo = window_ >> (64 - rest);
+  window_ = (window_ << (rest - 1)) << 1;
+  avail_ -= rest;
+  return ((hi << (rest - 1)) << 1) | lo;
 }
 
 // ------------------------------------------------------------------ codec

@@ -122,9 +122,11 @@ Reader::BlockResult Reader::load_block_checked(const BlockRecord& block,
     }
     in.seekg(static_cast<std::streamoff>(block.offset));
 
-    // One contiguous stored payload per block, whatever the encoding.
-    std::vector<std::byte> stored(
-        static_cast<std::size_t>(block.stored_bytes));
+    // One contiguous stored payload per block, whatever the encoding,
+    // staged in a buffer each reading thread reuses: a fresh allocation
+    // per miss lets the allocator retain freed block-sized buffers.
+    thread_local std::vector<std::byte> stored;
+    stored.resize(static_cast<std::size_t>(block.stored_bytes));
     in.read(reinterpret_cast<char*>(stored.data()),
             static_cast<std::streamsize>(stored.size()));
     if (in.gcount() != static_cast<std::streamsize>(stored.size())) {

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -272,6 +273,48 @@ TEST(FaultBp, TransientWriteFaultsHealViaRetryBitwise) {
   EXPECT_EQ(gs::bp::validate_against_manifest(faulted), "");
   fs::remove_all(clean);
   fs::remove_all(faulted);
+}
+
+// ------------------------------------------------------ reader corruption
+
+TEST(FaultBp, ReadBlockHookDamagesTheStagedCompressedBytes) {
+  // The reader stages a block's stored bytes in a buffer it reuses; the
+  // read_block hook must still damage exactly the bytes being decoded,
+  // the damage must be caught (decoder or CRC over the decoded doubles),
+  // and it must not outlive the read that staged it.
+  const std::string path = temp_path("staged_corrupt");
+  fs::remove_all(path);
+  std::vector<double> block(512);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = std::sin(static_cast<double>(i));
+  }
+  gs::mpi::run(1, [&](gs::mpi::Comm& world) {
+    gs::bp::Writer w(path, world, 1);
+    w.set_compression(true);
+    w.begin_step();
+    w.put("U", {8, 8, 8}, Box3{{0, 0, 0}, {8, 8, 8}}, block);
+    w.end_step();
+    w.close();
+  });
+  const gs::bp::Reader r(path);
+  ASSERT_EQ(r.blocks("U", 0).at(0).codec, "gorilla");
+
+  Plan plan;
+  plan.corrupt_at("bp.reader.read_block/data.0", 0, /*byte_offset=*/64);
+  {
+    ScopedPlan scoped(plan);
+    const auto damaged = r.try_read_block("U", 0, 0);
+    EXPECT_FALSE(damaged.ok());
+    EXPECT_TRUE(damaged.reason == "decompress_failed" ||
+                damaged.reason == "crc_mismatch")
+        << damaged.reason;
+    EXPECT_EQ(Injector::instance().injected(), 1u);
+    // Op 1 is not armed: the same buffer, restaged from disk, is clean.
+    const auto again = r.try_read_block("U", 0, 0);
+    ASSERT_TRUE(again.ok()) << again.detail;
+    EXPECT_TRUE(bitwise_equal(again.data, block));
+  }
+  fs::remove_all(path);
 }
 
 // ------------------------------------------------------- kills and recovery
