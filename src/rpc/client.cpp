@@ -1,6 +1,5 @@
 #include "rpc/client.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -10,7 +9,23 @@ namespace gs::rpc {
 
 namespace {
 using SteadyClock = std::chrono::steady_clock;
+
+/// Waits until `sock` is readable; false once `timeout_ms` (> 0) has
+/// passed since `start`. timeout_ms <= 0 waits without a deadline.
+bool readable_within(Socket& sock, SteadyClock::time_point start,
+                     std::int64_t timeout_ms) {
+  for (;;) {
+    std::int64_t left = 60'000;
+    if (timeout_ms > 0) {
+      const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+          SteadyClock::now() - start);
+      left = timeout_ms - waited.count();
+      if (left <= 0) return false;
+    }
+    if (sock.wait_readable(left)) return true;
+  }
 }
+}  // namespace
 
 Client::Client(Endpoint endpoint, ClientConfig config)
     : endpoint_(std::move(endpoint)), config_(config) {}
@@ -28,26 +43,13 @@ void Client::ensure_connected() {
 }
 
 Frame Client::await(std::uint64_t id, FrameType want) {
-  const bool bounded = config_.call_timeout_ms > 0;
-  const auto deadline =
-      SteadyClock::now() +
-      std::chrono::milliseconds(bounded ? config_.call_timeout_ms : 0);
+  const auto start = SteadyClock::now();
   for (;;) {
-    std::int64_t slice = 100;
-    if (bounded) {
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - SteadyClock::now())
-              .count();
-      if (left <= 0) {
-        GS_THROW(IoError, "rpc call timed out after "
-                          << config_.call_timeout_ms
-                          << " ms awaiting a " << to_string(want)
-                          << " frame");
-      }
-      slice = std::min<std::int64_t>(slice, left);
+    if (!readable_within(sock_, start, config_.call_timeout_ms)) {
+      GS_THROW(IoError, "rpc call timed out after "
+                        << config_.call_timeout_ms << " ms awaiting a "
+                        << to_string(want) << " frame");
     }
-    if (!sock_.wait_readable(slice)) continue;
     const auto frame = recv_frame(sock_, config_.io_timeout_ms);
     if (!frame) {
       GS_THROW(IoError, "connection closed while awaiting a "
@@ -108,42 +110,13 @@ json::Value Client::reload_map(const std::string& token) {
 
 void Client::ping() { transact(FrameType::ping, {}, FrameType::pong); }
 
-template <typename R>
-svc::Expected<R> Client::roundtrip(svc::QueryBody body) {
+svc::Response& Client::exchange(svc::QueryBody body) {
   svc::Request request;
   request.body = std::move(body);
   request.timeout_seconds = config_.default_timeout_seconds;
   request.tenant = config_.tenant;
-  svc::Response response = call(std::move(request));
-  if (!response.status.ok()) return svc::Expected<R>(response.status);
-  return svc::Expected<R>(std::get<R>(std::move(response.body)));
-}
-
-svc::Expected<svc::ListVariablesR> Client::list_variables() {
-  return roundtrip<svc::ListVariablesR>(svc::ListVariablesQ{});
-}
-
-svc::Expected<svc::FieldStatsR> Client::field_stats(
-    const std::string& variable, std::int64_t step) {
-  return roundtrip<svc::FieldStatsR>(svc::FieldStatsQ{variable, step});
-}
-
-svc::Expected<svc::HistogramR> Client::histogram(const std::string& variable,
-                                                 std::int64_t step,
-                                                 std::size_t bins) {
-  return roundtrip<svc::HistogramR>(svc::HistogramQ{variable, step, bins});
-}
-
-svc::Expected<svc::Slice2DR> Client::slice2d(const std::string& variable,
-                                             std::int64_t step, int axis,
-                                             std::int64_t coord) {
-  return roundtrip<svc::Slice2DR>(svc::Slice2DQ{variable, step, axis, coord});
-}
-
-svc::Expected<svc::ReadBoxR> Client::read_box(const std::string& variable,
-                                              std::int64_t step,
-                                              const Box3& box) {
-  return roundtrip<svc::ReadBoxR>(svc::ReadBoxQ{variable, step, box});
+  call(std::move(request));
+  return last_;
 }
 
 void Client::subscribe(std::uint64_t credits) {
@@ -160,24 +133,12 @@ std::optional<bp::StreamStep> Client::next_step(std::int64_t timeout_ms) {
   GS_REQUIRE(subscribed_, "next_step() without subscribe()");
   if (ended_) return std::nullopt;
 
-  const bool bounded = timeout_ms > 0;
-  const auto deadline =
-      SteadyClock::now() +
-      std::chrono::milliseconds(bounded ? timeout_ms : 0);
+  const auto start = SteadyClock::now();
   for (;;) {
-    std::int64_t slice = 100;
-    if (bounded) {
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - SteadyClock::now())
-              .count();
-      if (left <= 0) {
-        GS_THROW(IoError, "timed out after " << timeout_ms
-                          << " ms waiting for a live step");
-      }
-      slice = std::min<std::int64_t>(slice, left);
+    if (!readable_within(sock_, start, timeout_ms)) {
+      GS_THROW(IoError, "timed out after " << timeout_ms
+                        << " ms waiting for a live step");
     }
-    if (!sock_.wait_readable(slice)) continue;
     const auto frame = recv_frame(sock_, config_.io_timeout_ms);
     if (!frame) {
       ended_ = true;

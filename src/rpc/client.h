@@ -40,27 +40,15 @@ struct ClientConfig {
   std::string tenant;
 };
 
-class Client {
+/// The typed queries (list_variables, field_stats, ...) are svc::Client's,
+/// from svc::TypedVerbs.
+class Client : public svc::TypedVerbs<Client> {
  public:
   explicit Client(Endpoint endpoint, ClientConfig config = {});
   ~Client();
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-
-  // ---- queries (mirror svc::Client) -------------------------------------
-
-  svc::Expected<svc::ListVariablesR> list_variables();
-  svc::Expected<svc::FieldStatsR> field_stats(const std::string& variable,
-                                              std::int64_t step);
-  svc::Expected<svc::HistogramR> histogram(const std::string& variable,
-                                           std::int64_t step,
-                                           std::size_t bins);
-  svc::Expected<svc::Slice2DR> slice2d(const std::string& variable,
-                                       std::int64_t step, int axis,
-                                       std::int64_t coord);
-  svc::Expected<svc::ReadBoxR> read_box(const std::string& variable,
-                                        std::int64_t step, const Box3& box);
 
   /// Raw round-trip for a pre-built request (retries + reconnect).
   /// The returned Response carries this call's frame id.
@@ -104,8 +92,9 @@ class Client {
   void disconnect();
 
  private:
-  template <typename R>
-  svc::Expected<R> roundtrip(svc::QueryBody body);
+  friend class svc::TypedVerbs<Client>;
+  /// call() with the configured timeout and tenant.
+  svc::Response& exchange(svc::QueryBody body);
 
   void ensure_connected();
   /// One send + await on the current connection; throws IoError on any

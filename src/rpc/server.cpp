@@ -1,6 +1,6 @@
 #include "rpc/server.h"
 
-#include <future>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -14,6 +14,20 @@ using SteadyClock = std::chrono::steady_clock;
 
 double seconds_between(SteadyClock::time_point a, SteadyClock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+constexpr std::int64_t kMaxCredits = std::numeric_limits<std::int64_t>::max();
+
+/// A subscribe / credit payload: one u64 credit count. The window is
+/// signed (the bridge spends it one step at a time), so a count above
+/// INT64_MAX is a malformed frame, not a huge window.
+std::int64_t decode_credits(const Frame& frame) {
+  const std::uint64_t n = decode_u64(frame.payload);
+  if (n > static_cast<std::uint64_t>(kMaxCredits)) {
+    GS_THROW(ParseError, to_string(frame.type) << " of " << n
+                         << " credits exceeds " << kMaxCredits);
+  }
+  return static_cast<std::int64_t>(n);
 }
 }  // namespace
 
@@ -86,14 +100,6 @@ std::string ServerStats::report() const {
 }
 
 // ------------------------------------------------------------------ Server
-
-struct Server::Pending {
-  std::uint64_t id = 0;
-  svc::Verb verb = svc::Verb::list_variables;
-  std::future<svc::Response> future;
-  SteadyClock::time_point t0;
-  bool settled = false;  ///< inflight_ already decremented for this entry
-};
 
 json::Value ServiceHandler::stats_json() const {
   json::Object obj;
@@ -178,16 +184,17 @@ void Server::acceptor_main() {
     }
     if (!sock) continue;
 
-    // Fault site: the link dying between connect and service.
+    // Fault site: the link dying between connect and service. A refused
+    // eventfd fails the connection the same way.
+    std::shared_ptr<Conn> conn;
     try {
       fault::Injector::instance().check("rpc.accept");
+      conn = std::make_shared<Conn>(std::move(*sock));
     } catch (const IoError&) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.io_errors;
+      count(&ServerStats::io_errors);
       continue;  // Socket dtor closes the connection
     } catch (const fault::Kill&) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.killed_connections;
+      count(&ServerStats::killed_connections);
       continue;
     }
 
@@ -200,223 +207,181 @@ void Server::acceptor_main() {
                                  std::to_string(config_.max_connections) +
                                  " reached");
       try {
-        send_frame(*sock, busy, config_.io_timeout_ms);
+        send_frame(conn->sock, busy, config_.io_timeout_ms);
       } catch (const IoError&) {
         // best effort; the refusal is also visible as the close
       } catch (const fault::Kill&) {
       }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.rejected_capacity;
+      count(&ServerStats::rejected_capacity);
       continue;
     }
 
-    auto conn = std::make_shared<Conn>(std::move(*sock));
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
       conns_.push_back(conn);
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.accepted;
-    }
+    count(&ServerStats::accepted);
     conn->thread = std::thread([this, conn] { conn_main(*conn); });
   }
 }
 
-void Server::send_locked(Conn& conn, const Frame& frame) {
-  std::size_t bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(conn.write_mu);
-    bytes = send_frame(conn.sock, frame, config_.io_timeout_ms);
-  }
+void Server::Conn::post(Outgoing out) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (out.reply) --outstanding;
+  outbox.push_back(std::move(out));
+  wake.signal();
+}
+
+void Server::send(Conn& conn, const Frame& frame) {
+  const std::size_t bytes = send_frame(conn.sock, frame, config_.io_timeout_ms);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++counters_.frames_out;
   counters_.bytes_out += bytes;
 }
 
-void Server::handle_frame(Conn& conn, const Frame& frame,
-                          std::deque<Pending>& pending) {
-  switch (frame.type) {
-    case FrameType::request: {
-      svc::Request request;
-      try {
-        request = decode_request(frame.payload);
-      } catch (const ParseError& e) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++counters_.bad_frames;
-        }
-        Frame reply;
-        reply.type = FrameType::error_reply;
-        reply.id = frame.id;
-        reply.payload = encode_text(e.what());
-        send_locked(conn, reply);
-        return;
-      }
-      Pending entry;
-      entry.id = frame.id;
-      entry.verb = svc::verb_of(request.body);
-      entry.t0 = SteadyClock::now();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.requests;
-        rate_.add(seconds_between(epoch_, entry.t0));
-      }
-      inflight_.fetch_add(1);
-      entry.future = handler_->submit(std::move(request));
-      pending.push_back(std::move(entry));
-      return;
+void Server::send_posted(Conn& conn) {
+  for (;;) {
+    Outgoing out;
+    {
+      std::lock_guard<std::mutex> lock(conn.mu);
+      if (conn.outbox.empty()) return;
+      out = std::move(conn.outbox.front());
+      conn.outbox.pop_front();
     }
-    case FrameType::stats: {
-      Frame reply;
-      reply.type = FrameType::stats_reply;
-      reply.id = frame.id;
-      reply.payload = encode_text(stats_json().dump(2));
-      send_locked(conn, reply);
-      return;
-    }
-    case FrameType::ping: {
-      Frame reply;
-      reply.type = FrameType::pong;
-      reply.id = frame.id;
-      send_locked(conn, reply);
-      return;
-    }
-    case FrameType::subscribe: {
-      if (live_stream_ == nullptr) {
-        Frame reply;
-        reply.type = FrameType::error_reply;
-        reply.id = frame.id;
-        reply.payload =
-            encode_text("no live stream attached to this server");
-        send_locked(conn, reply);
-        return;
-      }
-      conn.credits.store(
-          static_cast<std::int64_t>(decode_u64(frame.payload)));
-      conn.subscribed.store(true);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.subscribers;
-      }
-      Frame reply;
-      reply.type = FrameType::sub_ok;
-      reply.id = frame.id;
-      send_locked(conn, reply);
-      return;
-    }
-    case FrameType::credit: {
-      conn.credits.fetch_add(
-          static_cast<std::int64_t>(decode_u64(frame.payload)));
-      return;
-    }
-    case FrameType::reload_map: {
-      // Authenticated admin verb: bump the shard-map epoch NOW instead of
-      // waiting for the mtime poll. An empty configured token disables
-      // the verb; the token comparison gates before the hook runs.
-      Frame reply;
-      reply.id = frame.id;
-      std::string token;
-      try {
-        token = decode_text(frame.payload);
-      } catch (const ParseError&) {
-        token.clear();
-      }
-      if (config_.admin_token.empty() || config_.reload_hook == nullptr) {
-        reply.type = FrameType::error_reply;
-        reply.payload = encode_text("reload_map is not enabled here");
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.reloads_refused;
-      } else if (token != config_.admin_token) {
-        reply.type = FrameType::error_reply;
-        reply.payload = encode_text("reload_map: bad admin token");
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.reloads_refused;
-      } else {
-        try {
-          reply.type = FrameType::reload_reply;
-          reply.payload = encode_text(config_.reload_hook().dump(2));
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++counters_.reloads;
-        } catch (const fault::Kill&) {
-          throw;  // a kill is a crash, not a refusal
-        } catch (const std::exception& e) {
-          reply.type = FrameType::error_reply;
-          reply.payload =
-              encode_text(std::string("reload failed: ") + e.what());
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++counters_.reloads_refused;
-        }
-      }
-      send_locked(conn, reply);
-      return;
-    }
-    default: {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.bad_frames;
-      Frame reply;
-      reply.type = FrameType::error_reply;
-      reply.id = frame.id;
-      reply.payload = encode_text(std::string("unexpected frame type ") +
-                                  to_string(frame.type));
-      send_locked(conn, reply);
-      return;
+    // Settled before the send: a send that throws must not leave the
+    // request counted in flight.
+    if (out.reply) inflight_.fetch_sub(1);
+    send(conn, *out.frame);
+    if (out.reply) {
+      record_reply(*out.reply);
+    } else if (out.frame->type == FrameType::stream_step) {
+      count(&ServerStats::steps_streamed);
     }
   }
 }
 
-void Server::conn_main(Conn& conn) {
-  std::deque<Pending> pending;
+void Server::record_reply(const Admitted& reply) {
+  const auto t1 = SteadyClock::now();
+  if (config_.profiler != nullptr) {
+    prof::Span span;
+    span.name = std::string("rpc.") + svc::to_string(reply.verb);
+    span.kind = prof::SpanKind::other;
+    span.t0 = seconds_between(epoch_, reply.t0);
+    span.t1 = seconds_between(epoch_, t1);
+    config_.profiler->record(std::move(span));
+  }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++counters_.responses;
+  latencies_.add(seconds_between(reply.t0, t1));
+}
 
-  const auto deliver = [&](Pending& entry) {
-    // Settle the in-flight count up front: if the send below throws, the
-    // abandoned-entry sweep at exit must not decrement this entry again.
-    entry.settled = true;
-    inflight_.fetch_sub(1);
-    svc::Response response = entry.future.get();
-    Frame reply;
-    reply.type = FrameType::response;
-    reply.id = entry.id;
-    reply.payload = encode_response(response);
-    send_locked(conn, reply);
-    const auto t1 = SteadyClock::now();
-    const double latency = seconds_between(entry.t0, t1);
-    if (config_.profiler != nullptr) {
-      prof::Span span;
-      span.name = std::string("rpc.") + svc::to_string(entry.verb);
-      span.kind = prof::SpanKind::other;
-      span.t0 = seconds_between(epoch_, entry.t0);
-      span.t1 = seconds_between(epoch_, t1);
-      config_.profiler->record(std::move(span));
-    }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.responses;
-    latencies_.add(latency);
-  };
-
-  const auto flush_ready = [&] {
-    for (auto it = pending.begin(); it != pending.end();) {
-      if (it->future.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        deliver(*it);
-        it = pending.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
+void Server::handle_frame(Conn& conn, const Frame& frame) {
+  Frame reply;
+  reply.id = frame.id;
   try {
-    for (;;) {
-      flush_ready();
-      if (stopping_.load()) {
-        // Graceful drain: every admitted request still gets its answer
-        // (the service completes queued work on shutdown).
-        for (auto& entry : pending) deliver(entry);
-        pending.clear();
+    switch (frame.type) {
+      case FrameType::request: {
+        svc::Request request = decode_request(frame.payload);
+        const Admitted admitted{svc::verb_of(request.body), SteadyClock::now()};
+        {
+          std::lock_guard<std::mutex> lock(stats_mu_);
+          ++counters_.requests;
+          rate_.add(seconds_between(epoch_, admitted.t0));
+        }
+        handler_->submit(std::move(request), [&conn, id = frame.id,
+                                              admitted](svc::Response r) {
+          conn.post({std::make_shared<const Frame>(Frame{
+                         FrameType::response, id, encode_response(r)}),
+                     admitted});
+        });
+        // Counted once submit() returns: a throwing submit never runs
+        // its Done. One that already ran left `outstanding` at -1 until
+        // here; only this thread reads it.
+        inflight_.fetch_add(1);
+        std::lock_guard<std::mutex> lock(conn.mu);
+        ++conn.outstanding;
+        return;
+      }
+      case FrameType::stats:
+        reply.type = FrameType::stats_reply;
+        reply.payload = encode_text(stats_json().dump(2));
+        break;
+      case FrameType::ping:
+        reply.type = FrameType::pong;
+        break;
+      case FrameType::subscribe: {
+        if (live_stream_ == nullptr) {
+          reply.type = FrameType::error_reply;
+          reply.payload =
+              encode_text("no live stream attached to this server");
+          break;
+        }
+        conn.credits.store(decode_credits(frame));
+        conn.subscribed.store(true);
+        count(&ServerStats::subscribers);
+        // Sent before the owner sends anything the bridge posts.
+        reply.type = FrameType::sub_ok;
         break;
       }
-      if (!conn.sock.wait_readable(pending.empty() ? 50 : 1)) continue;
+      case FrameType::credit: {
+        // Saturating add; only the bridge spends, so the window is >= 0.
+        const std::int64_t more = decode_credits(frame);
+        std::int64_t have = conn.credits.load();
+        while (!conn.credits.compare_exchange_weak(
+            have, have > kMaxCredits - more ? kMaxCredits : have + more)) {
+        }
+        return;
+      }
+      case FrameType::reload_map: {
+        // Authenticated admin verb: bump the shard-map epoch NOW instead
+        // of waiting for the mtime poll. An empty configured token
+        // disables the verb; the token comparison gates before the hook
+        // runs.
+        reply.type = FrameType::error_reply;
+        if (config_.admin_token.empty() || config_.reload_hook == nullptr) {
+          reply.payload = encode_text("reload_map is not enabled here");
+        } else if (decode_text(frame.payload) != config_.admin_token) {
+          reply.payload = encode_text("reload_map: bad admin token");
+        } else {
+          try {
+            reply.payload = encode_text(config_.reload_hook().dump(2));
+            reply.type = FrameType::reload_reply;
+          } catch (const fault::Kill&) {
+            throw;  // a kill is a crash, not a refusal
+          } catch (const std::exception& e) {
+            reply.payload =
+                encode_text(std::string("reload failed: ") + e.what());
+          }
+        }
+        count(reply.type == FrameType::reload_reply
+                  ? &ServerStats::reloads
+                  : &ServerStats::reloads_refused);
+        break;
+      }
+      default:
+        GS_THROW(ParseError, "unexpected frame type " << to_string(frame.type));
+    }
+  } catch (const ParseError& e) {
+    // An undecodable frame is answered and counted; the connection stays.
+    count(&ServerStats::bad_frames);
+    reply.type = FrameType::error_reply;
+    reply.payload = encode_text(e.what());
+  }
+  send(conn, reply);
+}
+
+void Server::conn_main(Conn& conn) {
+  try {
+    for (;;) {
+      send_posted(conn);
+      if (stopping_.load()) {
+        // Graceful drain: read no more, but every submitted request
+        // still gets its answer (the handler completes queued work).
+        if (conn.idle()) break;
+        conn.wake.wait(nullptr);
+        continue;
+      }
+      if (!conn.wake.wait(&conn.sock)) continue;  // something was posted
       const auto frame = recv_frame(conn.sock, config_.io_timeout_ms);
       if (!frame) break;  // peer closed cleanly
       {
@@ -424,86 +389,60 @@ void Server::conn_main(Conn& conn) {
         ++counters_.frames_in;
         counters_.bytes_in += kHeaderBytes + frame->payload.size();
       }
-      handle_frame(conn, *frame, pending);
+      handle_frame(conn, *frame);
     }
   } catch (const fault::Kill& e) {
     // Models the connection's process/link dying mid-exchange: abrupt
     // close, no drain — the client sees EOF / a torn frame.
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.killed_connections;
+    count(&ServerStats::killed_connections);
   } catch (const CrcError& e) {
     GS_WARN("rpc connection dropped: " << e.what());
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.crc_errors;
+    count(&ServerStats::crc_errors);
   } catch (const IoError& e) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.io_errors;
+    count(&ServerStats::io_errors);
   } catch (const std::exception& e) {
     GS_WARN("rpc connection worker failed: " << e.what());
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.io_errors;
+    count(&ServerStats::io_errors);
   }
-  // Requests abandoned by a dying connection (kill/io error with futures
-  // still pending) are no longer in flight from the load signal's view.
-  for (const Pending& entry : pending) {
-    if (!entry.settled) inflight_.fetch_sub(1);
-  }
-  {
-    // Close under write_mu: a concurrent bridge send either completes
-    // on the still-open fd first or finds the socket closed and throws
-    // IoError — it can never write into a kernel-reused fd.
-    std::lock_guard<std::mutex> lock(conn.write_mu);
-    conn.subscribed.store(false);
-    conn.sock.close();
-  }
+  close(conn);
   conn.done.store(true);
 }
 
-std::vector<std::shared_ptr<Server::Conn>> Server::subscriber_snapshot()
-    const {
-  std::vector<std::shared_ptr<Conn>> out;
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (const auto& conn : conns_) {
-    if (!conn->done.load() && conn->subscribed.load()) out.push_back(conn);
+void Server::close(Conn& conn) {
+  conn.subscribed.store(false);
+  conn.sock.close();
+  std::unique_lock<std::mutex> lock(conn.mu);
+  while (conn.outstanding != 0) {
+    lock.unlock();
+    conn.wake.wait(nullptr);
+    lock.lock();
   }
-  return out;
+  for (const Outgoing& out : conn.outbox) {
+    if (out.reply) inflight_.fetch_sub(1);
+  }
+  conn.outbox.clear();
 }
 
 void Server::bridge_main() try {
   bp::StreamReader reader(*live_stream_);
   while (auto step = reader.next_step()) {
-    Frame frame;
-    frame.type = FrameType::stream_step;
-    frame.payload = encode_stream_step(*step);
+    const auto frame = std::make_shared<const Frame>(
+        Frame{FrameType::stream_step, 0, encode_stream_step(*step)});
 
-    // Fan out from a snapshot, conns_mu_ released: one stalled
-    // subscriber blocking in send for up to io_timeout_ms must not
-    // freeze admission (acceptor reap, capacity check, stats).
-    for (const auto& conn : subscriber_snapshot()) {
+    // Posting never blocks, so the fan-out may hold conns_mu_: a stalled
+    // subscriber backs up only its own outbox, at most its credits deep.
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (const auto& conn : conns_) {
+      if (!conn->subscribed.load()) continue;
       if (conn->credits.load() <= 0) {
         // Slow-consumer policy: drop, never stall the simulation. The
         // client sees the gap in sequence numbers and the final count.
         conn->dropped_steps.fetch_add(1);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++counters_.steps_dropped;
+        count(&ServerStats::steps_dropped);
         continue;
       }
       conn->credits.fetch_sub(1);
-      try {
-        send_locked(*conn, frame);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++counters_.steps_streamed;
-      } catch (const fault::Kill&) {
-        conn->subscribed.store(false);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++counters_.killed_connections;
-      } catch (const std::exception&) {
-        // IoError (timeout, peer gone, worker closed the socket) or any
-        // other failure: unsubscribe; the worker reaps the connection.
-        conn->subscribed.store(false);
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++counters_.io_errors;
-      }
+      conn->post({frame, std::nullopt});
     }
   }
 
@@ -512,17 +451,13 @@ void Server::bridge_main() try {
   StreamEnd end;
   end.reason =
       live_stream_->abandoned() ? "stream abandoned" : "end of stream";
-  for (const auto& conn : subscriber_snapshot()) {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  for (const auto& conn : conns_) {
+    if (!conn->subscribed.exchange(false)) continue;
     end.dropped = conn->dropped_steps.load();
-    Frame frame;
-    frame.type = FrameType::stream_end;
-    frame.payload = encode_stream_end(end);
-    try {
-      send_locked(*conn, frame);
-    } catch (const fault::Kill&) {
-    } catch (const std::exception&) {
-    }
-    conn->subscribed.store(false);
+    conn->post({std::make_shared<const Frame>(
+                    Frame{FrameType::stream_end, 0, encode_stream_end(end)}),
+                std::nullopt});
   }
 } catch (const std::exception& e) {
   // Last line of defense: an escaped exception would std::terminate the
@@ -536,22 +471,28 @@ void Server::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
 
-  stopping_.store(true);
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.close();
-
   if (live_stream_ != nullptr) {
     // Unblocks the bridge (and any producer stuck on backpressure) when
     // the stream is still live; a no-op after a clean end-of-stream.
     live_stream_->consumer_detached();
   }
+  // The bridge ends first, so its stream_end frames are posted before
+  // the connections drain.
   if (bridge_.joinable()) bridge_.join();
 
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto& conn : conns_) {
+  stopping_.store(true);
+  if (acceptor_.joinable()) acceptor_.join();
+  listener_.close();
+
+  std::list<std::shared_ptr<Conn>> conns;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns.swap(conns_);
+  }
+  for (auto& conn : conns) conn->wake.signal();
+  for (auto& conn : conns) {
     if (conn->thread.joinable()) conn->thread.join();
   }
-  conns_.clear();
 }
 
 ServerStats Server::stats() const {

@@ -1,12 +1,17 @@
 // gs::rpc server — the transport in front of gs::svc: an acceptor thread
-// plus one worker thread per connection, speaking the wire protocol of
-// rpc/wire.h. Execution stays inside the svc admission queue (workers
-// submit() and the service applies its own backpressure/deadlines); the
+// plus one owner thread per connection, speaking the wire protocol of
+// rpc/wire.h. Execution stays inside the Handler's admission queue; the
 // rpc layer adds connection-level admission (max_connections), framed
 // request-id multiplexing (a client may pipeline requests and responses
 // return as they complete), an optional live bp::Stream subscription
 // fan-out with a per-connection credit window, and graceful drain on
 // shutdown (in-flight responses are delivered before sockets close).
+//
+// Only a connection's owner thread reads, writes or closes its socket.
+// A request's Handler::Done and the live-stream bridge post encoded
+// frames to the connection's outbox and signal its Wakeup; the owner
+// blocks in one poll() on both, so a reply leaves as soon as it is
+// posted, and a client that stops reading stalls only its connection.
 //
 // Slow-consumer policy (documented contract): a subscribed connection
 // with zero credits DROPS steps rather than stalling the producer — the
@@ -23,6 +28,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,17 +106,21 @@ struct ServerStats {
 };
 
 /// What a Server serves: anything that answers svc Requests through a
-/// future and describes itself for the stats RPC. gs::svc::Service is
+/// callback and describes itself for the stats RPC. gs::svc::Service is
 /// one (via ServiceHandler); the gs::shard scatter-gather Router is
 /// another — the wire protocol cannot tell them apart, which is the
 /// point: clients speak to a router exactly as to a single daemon.
 class Handler {
  public:
+  using Done = svc::Done;
+
   virtual ~Handler() = default;
 
-  /// Must ALWAYS yield a Response: rejections (busy, shutting down)
-  /// resolve the future with the corresponding status, never block.
-  virtual std::future<svc::Response> submit(svc::Request request) = 0;
+  /// Admits `request`; `done` then runs exactly once with its Response,
+  /// on any thread — inline before submit() returns for a rejection
+  /// (busy, shutting down). Never blocks. If submit() throws (an injected
+  /// fault::Kill), `done` never runs.
+  virtual void submit(svc::Request request, Done done) = 0;
 
   /// The handler's half of the stats RPC JSON. Must contain a "dataset"
   /// member (remote tools identify the served dataset through it).
@@ -128,8 +138,8 @@ class ServiceHandler : public Handler {
  public:
   explicit ServiceHandler(svc::Service& service) : service_(&service) {}
 
-  std::future<svc::Response> submit(svc::Request request) override {
-    return service_->submit(std::move(request));
+  void submit(svc::Request request, Done done) override {
+    service_->submit(std::move(request), std::move(done));
   }
   json::Value stats_json() const override;
   std::size_t queue_depth() const override;
@@ -160,8 +170,9 @@ class Server {
   /// The bound address with the kernel-resolved port.
   const Endpoint& endpoint() const { return endpoint_; }
 
-  /// Stops accepting, drains in-flight requests (responses are still
-  /// delivered), ends the live bridge, joins every thread. Idempotent.
+  /// Ends the live bridge, stops accepting, drains in-flight requests
+  /// (responses are still delivered), joins every thread. On return no
+  /// Handler::Done can still touch the Server. Idempotent.
   void shutdown();
 
   ServerStats stats() const;
@@ -170,34 +181,61 @@ class Server {
   json::Value stats_json() const;
 
  private:
+  /// A request's verb and admission time: its rpc.<verb> span and
+  /// latency sample end once the reply is on the wire.
+  struct Admitted {
+    svc::Verb verb;
+    std::chrono::steady_clock::time_point t0;
+  };
+  /// A frame posted to a connection (stream frames are shared by every
+  /// subscriber); `reply` is set for a request's response.
+  struct Outgoing {
+    std::shared_ptr<const Frame> frame;
+    std::optional<Admitted> reply;
+  };
+
   struct Conn {
     explicit Conn(Socket s) : sock(std::move(s)) {}
-    Socket sock;
+    Socket sock;  ///< read, written and closed by `thread` alone
     std::thread thread;
-    /// Serializes conn worker vs. bridge sends — and the worker's final
-    /// sock.close(), so the bridge never writes into a closed (or
-    /// kernel-reused) fd: it either finishes its send first or observes
-    /// the closed socket and gets an IoError.
-    std::mutex write_mu;
+    Wakeup wake;
+    std::mutex mu;  ///< guards outbox and outstanding
+    std::deque<Outgoing> outbox;
+    /// Requests submitted whose Done has not run yet; the owner exits
+    /// only at 0, so no callback outlives the connection (or the Server).
+    std::int64_t outstanding = 0;
     std::atomic<std::int64_t> credits{0};
     std::atomic<bool> subscribed{false};
     std::atomic<std::uint64_t> dropped_steps{0};
     std::atomic<bool> done{false};
-  };
 
-  struct Pending;  ///< an admitted request awaiting its svc future
+    /// Appends `out` and wakes the owner; never blocks. A reply settles
+    /// one outstanding request; after the wake (under `mu`) the poster no
+    /// longer touches this Conn.
+    void post(Outgoing out);
+    bool idle() {  ///< nothing outstanding, nothing left to send
+      std::lock_guard<std::mutex> lock(mu);
+      return outstanding == 0 && outbox.empty();
+    }
+  };
 
   void start();  ///< shared ctor tail: validate, bind, spawn threads
   void acceptor_main();
   void conn_main(Conn& conn);
   void bridge_main();
-  void handle_frame(Conn& conn, const Frame& frame,
-                    std::deque<Pending>& pending);
+  void handle_frame(Conn& conn, const Frame& frame);
   std::uint64_t active_connections() const;
-  void send_locked(Conn& conn, const Frame& frame);
-  /// Live subscribers at this instant; shared ownership keeps each Conn
-  /// alive across a fan-out send performed without conns_mu_ held.
-  std::vector<std::shared_ptr<Conn>> subscriber_snapshot() const;
+  void send(Conn& conn, const Frame& frame);
+  /// Sends everything posted to `conn`, in order, on its owner thread.
+  void send_posted(Conn& conn);
+  /// Every exit: closes the socket, waits until every outstanding Done
+  /// has run, and drops what was posted but never sent.
+  void close(Conn& conn);
+  void record_reply(const Admitted& reply);
+  void count(std::uint64_t ServerStats::*counter) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++(counters_.*counter);
+  }
 
   std::unique_ptr<Handler> owned_handler_;  ///< set by the Service ctor
   Handler* handler_;
@@ -222,8 +260,8 @@ class Server {
   ServerStats counters_;
   Samples latencies_;
   /// Requests admitted (decoded + submitted) whose response frame has
-  /// not been sent yet, across all connections. Atomic: incremented on
-  /// each connection's worker, read by stats().
+  /// not been sent yet, across all connections. Atomic: changed on each
+  /// connection's owner thread, read by stats().
   std::atomic<std::uint64_t> inflight_{0};
   DecayedRate rate_{/*halflife_seconds=*/10.0};  ///< under stats_mu_
 };

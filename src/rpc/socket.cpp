@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
@@ -263,6 +264,36 @@ bool Socket::wait_readable(std::int64_t timeout_ms) {
   if (!valid()) GS_THROW(IoError, "wait on a closed socket");
   return poll_for(fd_, POLLIN,
                   Deadline(timeout_ms, Deadline::ZeroMeans::immediate));
+}
+
+// ------------------------------------------------------------------ Wakeup
+
+Wakeup::Wakeup() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd_ < 0) GS_THROW(IoError, "eventfd failed: " << std::strerror(errno));
+}
+
+Wakeup::~Wakeup() { ::close(fd_); }
+
+void Wakeup::signal() {
+  const std::uint64_t one = 1;
+  // Only EAGAIN (counter saturated, so already signalled) can fail here.
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+}
+
+bool Wakeup::wait(const Socket* readable) {
+  // poll(2) skips an entry whose fd is negative.
+  std::array<pollfd, 2> fds{{{fd_, POLLIN, 0},
+                             {readable ? readable->fd() : -1, POLLIN, 0}}};
+  while (::poll(fds.data(), fds.size(), -1) < 0) {
+    if (errno != EINTR) {
+      GS_THROW(IoError, "poll failed: " << std::strerror(errno));
+    }
+  }
+  if (fds[0].revents != 0) {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof(count));
+  }
+  return fds[1].revents != 0;
 }
 
 // ---------------------------------------------------------------- Listener

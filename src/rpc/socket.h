@@ -79,6 +79,25 @@ class Socket {
   int fd_ = -1;
 };
 
+/// An eventfd any thread signals to wake the one thread that owns a
+/// socket, without touching the socket itself.
+class Wakeup {
+ public:
+  Wakeup();  ///< throws gs::IoError when no eventfd is available
+  ~Wakeup();
+  Wakeup(const Wakeup&) = delete;
+  Wakeup& operator=(const Wakeup&) = delete;
+
+  /// Makes the current or next wait() return. Any thread; never blocks.
+  void signal();
+  /// Blocks, without a deadline, until signal() (which it consumes) or
+  /// until `readable` (when non-null) is readable; true in the latter.
+  bool wait(const Socket* readable);
+
+ private:
+  int fd_ = -1;
+};
+
 /// Bound, listening acceptor socket. For unix endpoints the socket file
 /// is unlinked on close (and any stale file is replaced at bind).
 class Listener {

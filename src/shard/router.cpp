@@ -142,31 +142,33 @@ void Router::shutdown() {
   if (probe_.joinable()) probe_.join();
 }
 
-std::future<svc::Response> Router::submit(svc::Request request) {
+void Router::submit(svc::Request request, Done done) {
   request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  std::promise<svc::Response> promise;
-  std::future<svc::Response> future = promise.get_future();
+  bool shutting_down = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      promise.set_value(refused(request, svc::StatusCode::shutting_down,
-                                "router shutting down"));
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected_shutdown;
-      return future;
+    shutting_down = stopping_;
+    if (!shutting_down && (config_.queue_capacity == 0 ||
+                           queue_.size() < config_.queue_capacity)) {
+      queue_.push_back(Job{std::move(request), std::move(done)});
+      queue_cv_.notify_one();
+      return;
     }
-    if (config_.queue_capacity > 0 &&
-        queue_.size() >= config_.queue_capacity) {
-      promise.set_value(refused(request, svc::StatusCode::server_busy,
-                                "router admission queue full"));
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.rejected_busy;
-      return future;
-    }
-    queue_.push_back(Job{std::move(request), std::move(promise)});
+    std::lock_guard<std::mutex> slock(stats_mu_);
+    ++(shutting_down ? stats_.rejected_shutdown : stats_.rejected_busy);
   }
-  queue_cv_.notify_one();
-  return future;
+  // Refused inline, outside the locks.
+  done(shutting_down ? refused(request, svc::StatusCode::shutting_down,
+                               "router shutting down")
+                     : refused(request, svc::StatusCode::server_busy,
+                               "router admission queue full"));
+}
+
+std::future<svc::Response> Router::submit(svc::Request request) {
+  auto promise = std::make_shared<std::promise<svc::Response>>();
+  submit(std::move(request),
+         [promise](svc::Response r) { promise->set_value(std::move(r)); });
+  return promise->get_future();
 }
 
 svc::Response Router::call(svc::Request request) {
@@ -197,7 +199,7 @@ void Router::worker_main() {
         ++stats_.failed;
       }
     }
-    job.promise.set_value(std::move(response));
+    job.done(std::move(response));
   }
 }
 

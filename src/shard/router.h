@@ -122,9 +122,12 @@ class Router : public rpc::Handler {
   Router& operator=(const Router&) = delete;
 
   // rpc::Handler -----------------------------------------------------------
-  std::future<svc::Response> submit(svc::Request request) override;
+  void submit(svc::Request request, Done done) override;
   json::Value stats_json() const override;
   std::size_t queue_depth() const override;
+
+  /// submit() through a future, for in-process callers.
+  std::future<svc::Response> submit(svc::Request request);
 
   /// submit() + wait.
   svc::Response call(svc::Request request);
@@ -194,7 +197,7 @@ class Router : public rpc::Handler {
 
   struct Job {
     svc::Request request;
-    std::promise<svc::Response> promise;
+    Done done;
   };
 
   /// One shard's contribution to a scattered query.

@@ -246,4 +246,42 @@ struct Response {
   std::uint64_t bytes_scanned = 0;
 };
 
+/// One typed method per verb, shared by the in-process svc::Client and
+/// the remote rpc::Client. `Caller::exchange(QueryBody)` sends the query
+/// and returns the raw Response it keeps as last_response(); each verb
+/// moves its payload out of it, or returns the Status answered instead.
+template <typename Caller>
+class TypedVerbs {
+ public:
+  Expected<ListVariablesR> list_variables() {
+    return ask<ListVariablesR>(ListVariablesQ{});
+  }
+  Expected<FieldStatsR> field_stats(const std::string& variable,
+                                    std::int64_t step) {
+    return ask<FieldStatsR>(FieldStatsQ{variable, step});
+  }
+  Expected<HistogramR> histogram(const std::string& variable,
+                                 std::int64_t step, std::size_t bins) {
+    return ask<HistogramR>(HistogramQ{variable, step, bins});
+  }
+  Expected<Slice2DR> slice2d(const std::string& variable, std::int64_t step,
+                             int axis, std::int64_t coord) {
+    return ask<Slice2DR>(Slice2DQ{variable, step, axis, coord});
+  }
+  Expected<ReadBoxR> read_box(const std::string& variable, std::int64_t step,
+                              const Box3& box) {
+    return ask<ReadBoxR>(ReadBoxQ{variable, step, box});
+  }
+
+ private:
+  template <typename R>
+  Expected<R> ask(QueryBody body) {
+    Response& response = static_cast<Caller&>(*this).exchange(std::move(body));
+    if (!response.status.ok()) return Expected<R>(response.status);
+    R* payload = std::get_if<R>(&response.body);
+    GS_REQUIRE(payload != nullptr, "response body does not match its verb");
+    return Expected<R>(std::move(*payload));
+  }
+};
+
 }  // namespace gs::svc

@@ -86,7 +86,7 @@ double Service::since_epoch(SteadyClock::time_point tp) const {
   return std::chrono::duration<double>(tp - epoch_).count();
 }
 
-std::future<Response> Service::submit(Request request) {
+void Service::submit(Request request, Done done) {
   const auto now = SteadyClock::now();
   request.id = next_id_.fetch_add(1);
 
@@ -99,8 +99,8 @@ std::future<Response> Service::submit(Request request) {
                   std::chrono::duration<double>(request.timeout_seconds));
   }
   job.request = std::move(request);
+  job.done = std::move(done);
 
-  auto future = job.promise.get_future();
   StatusCode reject = StatusCode::ok;
   std::string reject_message;
   // Fault hook: an injected admission failure answers internal_error
@@ -137,7 +137,7 @@ std::future<Response> Service::submit(Request request) {
   }
   if (reject == StatusCode::ok) {
     queue_cv_.notify_one();
-    return future;
+    return;
   }
 
   // Rejection path: resolve immediately — the caller always gets an
@@ -150,8 +150,14 @@ std::future<Response> Service::submit(Request request) {
   response.latency_seconds =
       std::chrono::duration<double>(SteadyClock::now() - now).count();
   count_outcome(response.verb, reject, 0.0, job.request.tenant);
-  job.promise.set_value(std::move(response));
-  return future;
+  job.done(std::move(response));
+}
+
+std::future<Response> Service::submit(Request request) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  submit(std::move(request),
+         [promise](Response r) { promise->set_value(std::move(r)); });
+  return promise->get_future();
 }
 
 Response Service::call(Request request) {
@@ -251,7 +257,7 @@ void Service::process(Job job) {
     bytes_scanned_total_ += response.bytes_scanned;
     exec_seconds_total_ += response.exec_seconds;
   }
-  job.promise.set_value(std::move(response));
+  job.done(std::move(response));
 }
 
 ResponseBody Service::execute(const QueryBody& body, Response& response) {
@@ -879,42 +885,13 @@ std::string MetricsSnapshot::report() const {
 
 // ------------------------------------------------------------------ Client
 
-template <typename R>
-Expected<R> Client::roundtrip(QueryBody body) {
+Response& Client::exchange(QueryBody body) {
   Request request;
   request.body = std::move(body);
   request.timeout_seconds = timeout_;
   request.tenant = tenant_;
   last_ = service_->call(std::move(request));
-  if (!last_.status.ok()) return Expected<R>(last_.status);
-  R* payload = std::get_if<R>(&last_.body);
-  GS_ASSERT(payload != nullptr, "response body does not match verb");
-  return Expected<R>(std::move(*payload));
-}
-
-Expected<ListVariablesR> Client::list_variables() {
-  return roundtrip<ListVariablesR>(ListVariablesQ{});
-}
-
-Expected<FieldStatsR> Client::field_stats(const std::string& variable,
-                                          std::int64_t step) {
-  return roundtrip<FieldStatsR>(FieldStatsQ{variable, step});
-}
-
-Expected<HistogramR> Client::histogram(const std::string& variable,
-                                       std::int64_t step, std::size_t bins) {
-  return roundtrip<HistogramR>(HistogramQ{variable, step, bins});
-}
-
-Expected<Slice2DR> Client::slice2d(const std::string& variable,
-                                   std::int64_t step, int axis,
-                                   std::int64_t coord) {
-  return roundtrip<Slice2DR>(Slice2DQ{variable, step, axis, coord});
-}
-
-Expected<ReadBoxR> Client::read_box(const std::string& variable,
-                                    std::int64_t step, const Box3& box) {
-  return roundtrip<ReadBoxR>(ReadBoxQ{variable, step, box});
+  return last_;
 }
 
 }  // namespace gs::svc

@@ -180,6 +180,10 @@ struct BlockId {
 /// benches' ring-movement bounds.
 std::vector<BlockId> dataset_blocks(const bp::Reader& reader);
 
+/// Completion callback of an admitted request: runs exactly once with
+/// its Response.
+using Done = std::function<void(Response)>;
+
 class Service {
  public:
   /// Opens the dataset at `path` (throws gs::IoError if absent/corrupt)
@@ -192,9 +196,13 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Admits or rejects the request. Always yields a Response: rejected
-  /// requests (queue full, shutting down) resolve immediately with the
-  /// corresponding status. Never blocks on a full queue.
+  /// Admits or rejects the request; `done` runs exactly once with its
+  /// Response — on a worker, or inline before submit() returns for a
+  /// rejection (queue full, shutting down). Never blocks on a full queue.
+  /// An injected fault::Kill at admission propagates and `done` never
+  /// runs.
+  void submit(Request request, Done done);
+  /// The same through a future, for in-process callers.
   std::future<Response> submit(Request request);
 
   /// submit() + wait.
@@ -238,7 +246,7 @@ class Service {
 
   struct Job {
     Request request;
-    std::promise<Response> promise;
+    Done done;
     SteadyClock::time_point submitted_at;
     SteadyClock::time_point deadline;
     bool has_deadline = false;
@@ -347,7 +355,7 @@ class Service {
 /// Typed in-process client: one call per verb, each returning a typed
 /// Expected (the payload, or the Status the service answered with).
 /// Thin and stateless — many clients can share one Service.
-class Client {
+class Client : public TypedVerbs<Client> {
  public:
   /// `default_timeout_seconds` is attached to every request (0 = none);
   /// `tenant` tags every request for per-tenant metrics ("" = untagged).
@@ -357,22 +365,12 @@ class Client {
         timeout_(default_timeout_seconds),
         tenant_(std::move(tenant)) {}
 
-  Expected<ListVariablesR> list_variables();
-  Expected<FieldStatsR> field_stats(const std::string& variable,
-                                    std::int64_t step);
-  Expected<HistogramR> histogram(const std::string& variable,
-                                 std::int64_t step, std::size_t bins);
-  Expected<Slice2DR> slice2d(const std::string& variable, std::int64_t step,
-                             int axis, std::int64_t coord);
-  Expected<ReadBoxR> read_box(const std::string& variable, std::int64_t step,
-                              const Box3& box);
-
   /// The raw Response of the last call (timings, cache counters).
   const Response& last_response() const { return last_; }
 
  private:
-  template <typename R>
-  Expected<R> roundtrip(QueryBody body);
+  friend class TypedVerbs<Client>;
+  Response& exchange(QueryBody body);
 
   Service* service_;
   double timeout_;

@@ -3,9 +3,12 @@
 // corrupted frames, a loopback server must answer byte-for-byte what the
 // in-process service answers (TCP and Unix sockets), request-id
 // multiplexing must survive pipelining, injected transport faults must
-// be absorbed by client retries and counted by the server, and the live
-// subscription channel must deliver in order, drop (never stall) on
-// slow consumers, and fail producers cleanly at shutdown.
+// be absorbed by client retries and counted by the server, a Handler's
+// Done callbacks must reach the wire in completion order and hold
+// shutdown until they run, and the live subscription channel must
+// deliver in order, drop (never stall) on slow consumers, never let one
+// stalled subscriber delay another, and fail producers cleanly at
+// shutdown.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -17,9 +20,12 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "bp/stream.h"
@@ -587,6 +593,124 @@ TEST(RpcServer, ShutdownDrainsInFlightRequests) {
                             << result->status().message;
 }
 
+/// A Handler that parks list_variables requests until the test completes
+/// them, and rejects field_stats inline, inside submit().
+class ParkingHandler : public Handler {
+ public:
+  void submit(svc::Request request, Done done) override {
+    svc::Response response;
+    response.verb = svc::verb_of(request.body);
+    if (std::holds_alternative<svc::FieldStatsQ>(request.body)) {
+      response.status = {svc::StatusCode::server_busy, "rejected inline"};
+      done(std::move(response));
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    parked_.push_back({std::move(response), std::move(done)});
+    cv_.notify_all();
+  }
+  gs::json::Value stats_json() const override {
+    gs::json::Object obj;
+    obj["dataset"] = gs::json::Value("parked");
+    return gs::json::Value(std::move(obj));
+  }
+
+  void wait_parked(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_.size() >= n; });
+  }
+  /// Completes the i-th parked request (in arrival order) from the
+  /// calling thread; its answer carries `i` as n_steps.
+  void complete(std::size_t i) {
+    Parked job;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job = std::move(parked_.at(i));
+    }
+    job.response.body = svc::ListVariablesR{static_cast<std::int64_t>(i), {}};
+    job.done(std::move(job.response));
+  }
+
+ private:
+  struct Parked {
+    svc::Response response;
+    Done done;
+  };
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Parked> parked_;
+};
+
+void send_request(Socket& sock, std::uint64_t id, svc::QueryBody body) {
+  svc::Request request;
+  request.body = std::move(body);
+  Frame frame;
+  frame.type = FrameType::request;
+  frame.id = id;
+  frame.payload = encode_request(request);
+  send_frame(sock, frame, 2000);
+}
+
+/// The next frame on `sock`: a response with `id`, decoded.
+svc::Response expect_response(Socket& sock, std::uint64_t id) {
+  const auto frame = recv_frame(sock, 5000);
+  EXPECT_TRUE(frame.has_value());
+  if (!frame) return {};
+  EXPECT_EQ(frame->type, FrameType::response);
+  EXPECT_EQ(frame->id, id);
+  return decode_response(frame->payload);
+}
+
+TEST(RpcServer, HandlerRepliesGoOutInCompletionOrder) {
+  ParkingHandler handler;
+  Server server(handler);
+  Socket sock = dial(server.endpoint(), 2000);
+
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    send_request(sock, id, svc::ListVariablesQ{});
+  }
+  handler.wait_parked(3);
+  // Done run inline inside submit() answers before anything parked.
+  send_request(sock, 4, svc::FieldStatsQ{"U", 0});
+  EXPECT_EQ(expect_response(sock, 4).status.code,
+            svc::StatusCode::server_busy);
+
+  // Completed from this thread in reverse: each reply follows its Done.
+  for (std::size_t i = 3; i-- > 0;) {
+    handler.complete(i);
+    const svc::Response response = expect_response(sock, i + 1);
+    ASSERT_TRUE(response.status.ok()) << response.status.message;
+    EXPECT_EQ(std::get<svc::ListVariablesR>(response.body).n_steps,
+              static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(server.stats().inflight, 0u);
+  server.shutdown();  // joins the owner: every reply is counted
+  EXPECT_EQ(server.stats().requests, 4u);
+  EXPECT_EQ(server.stats().responses, 4u);
+}
+
+TEST(RpcServer, ShutdownWaitsForAHeldDoneAndDeliversItsReply) {
+  ParkingHandler handler;
+  Server server(handler);
+  Socket sock = dial(server.endpoint(), 2000);
+  send_request(sock, 7, svc::ListVariablesQ{});
+  handler.wait_parked(1);
+
+  std::atomic<bool> returned{false};
+  std::thread stopper([&] {
+    server.shutdown();
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load()) << "shutdown returned with a Done held";
+
+  handler.complete(0);
+  EXPECT_TRUE(expect_response(sock, 7).status.ok());
+  stopper.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(server.stats().inflight, 0u);
+}
+
 TEST(RpcLatency, LoopbackRoundTripUnderDelayedAckFloor) {
   // A frame whose header and payload leave as separate small segments
   // waits for the peer's delayed ACK (40 ms minimum on Linux) before its
@@ -751,6 +875,106 @@ TEST(RpcStream, SlowConsumerDropsStepsInsteadOfStalling) {
   EXPECT_EQ(stats.steps_streamed, received);
   EXPECT_EQ(stats.steps_dropped,
             static_cast<std::uint64_t>(kPushed) - received);
+  server.shutdown();
+}
+
+TEST(RpcStream, MalformedSubscribeAndCreditAreAnsweredNotDropped) {
+  gs::svc::Service service(dataset());
+  gs::bp::Stream stream(4);
+  Server server(service, {}, &stream);
+  Socket sock = dial(server.endpoint(), 2000);
+
+  const auto expect_refused = [&](FrameType type, std::uint64_t id,
+                                  std::vector<std::byte> payload) {
+    Frame frame;
+    frame.type = type;
+    frame.id = id;
+    frame.payload = std::move(payload);
+    send_frame(sock, frame, 2000);
+    const auto reply = recv_frame(sock, 5000);
+    ASSERT_TRUE(reply.has_value()) << "connection dropped";
+    EXPECT_EQ(reply->type, FrameType::error_reply);
+    EXPECT_EQ(reply->id, id);
+  };
+
+  expect_refused(FrameType::subscribe, 1, std::vector<std::byte>(3));
+  auto stats = server.stats();
+  EXPECT_EQ(stats.bad_frames, 1u);
+  EXPECT_EQ(stats.io_errors, 0u);
+  EXPECT_EQ(stats.subscribers, 0u);
+
+  // A credit count must fit the signed window: 2^63 and 2^64-1 would
+  // otherwise wrap negative.
+  expect_refused(FrameType::subscribe, 2, encode_u64(1ull << 63));
+  expect_refused(FrameType::credit, 3, std::vector<std::byte>(5));
+  expect_refused(FrameType::credit, 4, encode_u64(~0ull));
+  stats = server.stats();
+  EXPECT_EQ(stats.bad_frames, 4u);
+  EXPECT_EQ(stats.io_errors, 0u);
+
+  Frame ping;
+  ping.type = FrameType::ping;
+  ping.id = 5;
+  send_frame(sock, ping, 2000);
+  const auto pong = recv_frame(sock, 5000);
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->type, FrameType::pong);
+  EXPECT_EQ(pong->id, 5u);
+  sock.close();
+  server.shutdown();
+}
+
+TEST(RpcStream, StalledSubscriberDoesNotDelayAnother) {
+  constexpr std::int64_t kIoTimeoutMs = 3000;
+  constexpr std::int64_t kPushed = 16;
+  gs::svc::Service service(dataset());
+  gs::bp::Stream stream(kPushed);
+  ServerConfig config;
+  config.listen = "unix:" + temp_path("rpc_stall.sock");
+  config.io_timeout_ms = kIoTimeoutMs;
+  Server server(service, config, &stream);
+
+  // Subscribes first, then never reads: 16 steps of 256 KB overfill its
+  // socket buffers (208 KB by default on Linux) many times over.
+  Socket stalled = dial(server.endpoint(), 2000);
+  Frame subscribe;
+  subscribe.type = FrameType::subscribe;
+  subscribe.payload = encode_u64(kPushed);
+  send_frame(stalled, subscribe, 2000);
+  const auto ok = recv_frame(stalled, 5000);
+  ASSERT_TRUE(ok.has_value());
+  ASSERT_EQ(ok->type, FrameType::sub_ok);
+
+  Client reader(server.endpoint());
+  reader.subscribe(/*credits=*/kPushed);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::int64_t s = 0; s < kPushed; ++s) {
+    gs::bp::StreamStep step;
+    step.sequence = s;
+    gs::bp::StreamStep::ArrayVar var;
+    var.shape = {64, 64, 8};
+    var.blocks.push_back({0, Box3{{0, 0, 0}, {64, 64, 8}},
+                          std::vector<double>(64 * 64 * 8, double(s))});
+    step.arrays["U"] = std::move(var);
+    stream.push(std::move(step));
+  }
+  stream.close();
+
+  std::int64_t received = 0;
+  while (const auto step = reader.next_step(2 * kIoTimeoutMs)) {
+    EXPECT_EQ(step->sequence, received);
+    ++received;
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  EXPECT_EQ(received, kPushed);
+  EXPECT_EQ(reader.stream_end().dropped, 0u);
+  EXPECT_LT(elapsed_ms, kIoTimeoutMs / 2.0);
+  // The stalled subscriber has not timed out: nothing waited on it.
+  EXPECT_EQ(server.stats().io_errors, 0u);
+  stalled.close();
   server.shutdown();
 }
 
