@@ -52,7 +52,8 @@ SchedStats run_population(Policy policy, int users,
   for (int u = 0; u < users; ++u) {
     const std::int64_t nodes = campaign_width(u);
     const Campaign c = gs::sched::pipeline_campaign(
-        "c" + std::to_string(u), "user" + std::to_string(u), nodes,
+        std::string("c").append(std::to_string(u)),
+        std::string("user").append(std::to_string(u)), nodes,
         /*steps=*/20000 + 10000 * (u % 3), /*output_steps=*/10);
     // Near-simultaneous arrivals (one per simulated second): the queue
     // builds a real backlog, so the ordering policies actually diverge.

@@ -59,8 +59,8 @@ void check_reshuffle(bench::Gates& gates) {
   const auto mk = [](std::size_t n) {
     std::vector<gs::shard::ShardInfo> infos;
     for (std::size_t i = 0; i < n; ++i) {
-      infos.push_back(
-          gs::shard::ShardInfo{"s" + std::to_string(i), "unused"});
+      infos.push_back(gs::shard::ShardInfo{
+          std::string("s").append(std::to_string(i)), "unused"});
     }
     return gs::shard::ShardMap(1, 64, std::move(infos));
   };

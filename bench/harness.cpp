@@ -201,7 +201,8 @@ std::shared_ptr<const shard::ShardMap> Fleet::make_map(
     std::uint64_t epoch, std::size_t n_shards) const {
   std::vector<shard::ShardInfo> infos;
   for (std::size_t i = 0; i < n_shards; ++i) {
-    infos.push_back(shard::ShardInfo{"s" + std::to_string(i), endpoint(i)});
+    infos.push_back(shard::ShardInfo{
+        std::string("s").append(std::to_string(i)), endpoint(i)});
   }
   return std::make_shared<const shard::ShardMap>(epoch, 64, std::move(infos));
 }
@@ -210,7 +211,7 @@ void Fleet::start(std::size_t i) {
   svc::ServiceConfig config;
   config.threads = 2;
   config.shard_map = initial;
-  config.shard_id = "s" + std::to_string(i);
+  config.shard_id = std::string("s").append(std::to_string(i));
   config.reload_grace_seconds = kReloadGraceSeconds;
   services[i] = std::make_unique<svc::Service>(dataset, std::move(config));
   rpc::ServerConfig server_config;

@@ -8,6 +8,7 @@
 
 #include <numeric>
 
+#include "analysis/analysis.h"
 #include "bench/scratch.h"
 #include "bp/compress.h"
 #include "bp/reader.h"
@@ -167,6 +168,41 @@ void BM_GorillaDecompressDeveloped(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()) * 8);
 }
 BENCHMARK(BM_GorillaDecompressDeveloped);
+
+// One 64^3 variable-step shaped like the served query datasets: L=64,
+// 100 steps of the reference solver with its default noise.
+const std::vector<double>& query_field() {
+  static const std::vector<double> field = [] {
+    const std::int64_t L = 64;
+    gs::Field3 u({L, L, L}), v({L, L, L});
+    gs::core::initialize_fields(u, v, {{0, 0, 0}, {L, L, L}}, L);
+    gs::core::reference_run(u, v, gs::core::GsParams{}, 1, 100, L);
+    return u.interior_copy();
+  }();
+  return field;
+}
+
+void BM_ExactStatsField(benchmark::State& state) {
+  const auto& data = query_field();
+  for (auto _ : state) {
+    auto stats = gs::analysis::exact_stats(data);
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()) * 8);
+}
+BENCHMARK(BM_ExactStatsField)->Unit(benchmark::kMillisecond);
+
+void BM_HistogramField(benchmark::State& state) {
+  const auto& data = query_field();
+  for (auto _ : state) {
+    auto h = gs::analysis::field_histogram(data, 32);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()) * 8);
+}
+BENCHMARK(BM_HistogramField)->Unit(benchmark::kMillisecond);
 
 void BM_BpWriteReadCycle(benchmark::State& state) {
   const std::int64_t L = 24;

@@ -100,11 +100,8 @@ Slice2D slice_from_reader(const bp::Reader& reader, const std::string& name,
 }
 
 ExactStats exact_stats(std::span<const double> data) {
-  // Deliberately scalar: ExactSum folds each addend into integer
-  // superaccumulator limbs with per-element carries — an inherently
-  // sequential dependence chain with no elementwise IEEE analog, so
-  // there is no gs::simd formulation that keeps the exactness contract.
-  // The partition-independent merge tree is the parallel axis instead.
+  // Each tile is one ExactStats::add_many (binned, carry-free); tiles
+  // merge in integer arithmetic, so the tiling cannot change a bit.
   par::RegionOptions opts;
   opts.label = "stats";
   opts.grain = kAnalysisGrain;
@@ -113,9 +110,8 @@ ExactStats exact_stats(std::span<const double> data) {
       static_cast<std::int64_t>(data.size()),
       [&](std::int64_t begin, std::int64_t end) {
         ExactStats tile;
-        for (std::int64_t i = begin; i < end; ++i) {
-          tile.add(data[static_cast<std::size_t>(i)]);
-        }
+        tile.add_many(data.subspan(static_cast<std::size_t>(begin),
+                                   static_cast<std::size_t>(end - begin)));
         return tile;
       },
       [](ExactStats a, const ExactStats& b) {
@@ -151,18 +147,23 @@ json::Object stats_to_json(const FieldStats& stats) {
 
 Histogram field_histogram(std::span<const double> data, std::size_t bins) {
   GS_REQUIRE(!data.empty(), "histogram of empty field");
-  const auto n = static_cast<std::int64_t>(data.size());
+  const auto [min, max] = field_range(data);
+  const auto [lo, hi] = histogram_range(min, max);
+  return field_histogram(data, bins, lo, hi);
+}
 
-  // Pass 1: min/max reduction (exact — order-independent), vectorized
-  // per tile with W-lane accumulators (simd::minmax_run). min/max over
-  // field data (finite, no NaN) is associative/commutative, so the lane
-  // grouping cannot change the result.
+std::pair<double, double> field_range(std::span<const double> data) {
+  GS_REQUIRE(!data.empty(), "range of empty field");
+  // min/max reduction (exact — order-independent), vectorized per tile
+  // with W-lane accumulators (simd::minmax_run). min/max over field data
+  // (finite, no NaN) is associative/commutative, so the lane grouping
+  // cannot change the result.
   using simd::MinMax;
   par::RegionOptions opts;
   opts.label = "histogram";
   opts.grain = kAnalysisGrain;
   const MinMax mm = par::parallel_reduce<MinMax>(
-      n,
+      static_cast<std::int64_t>(data.size()),
       [&](std::int64_t begin, std::int64_t end) {
         return simd::minmax_run<simd::kNativeWidth>(data.data() + begin,
                                                     end - begin);
@@ -171,8 +172,7 @@ Histogram field_histogram(std::span<const double> data, std::size_t bins) {
         return MinMax{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
       },
       opts);
-  const auto [lo, hi] = histogram_range(mm.lo, mm.hi);
-  return field_histogram(data, bins, lo, hi);
+  return {mm.lo, mm.hi};
 }
 
 std::pair<double, double> histogram_range(double lo, double hi) {

@@ -69,6 +69,11 @@ json::Object stats_to_json(const FieldStats& stats);
 /// Histogram of field values over [min, max] of the data.
 Histogram field_histogram(std::span<const double> data, std::size_t bins);
 
+/// Exact {min, max} of a non-empty field: the range pass of
+/// field_histogram, vectorized and tiled; for data without NaN or
+/// mixed-sign zeros the same bits as a serial scan.
+std::pair<double, double> field_range(std::span<const double> data);
+
 /// Histogram over an explicit [lo, hi) range (shard partials must bin
 /// against the globally-agreed range, not their local extrema).
 Histogram field_histogram(std::span<const double> data, std::size_t bins,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <sstream>
 
 #include "common/error.h"
@@ -66,29 +68,128 @@ void add_limb(ExactSum::Limbs& a, std::size_t i, std::uint64_t v) {
   }
 }
 
+// A finite double is x = sign * m * 2^e with integer m < 2^53: biased
+// exponent 0 is subnormal (m = frac, e = -1074); otherwise the implicit
+// leading bit joins the fraction and e = E - 1075. Bit 0 of limb 0 is
+// 2^-1074, so m lands at bit offset e + 1074.
+constexpr std::uint64_t kFracMask = (std::uint64_t{1} << 52) - 1;
+
+std::uint64_t mantissa(std::uint64_t bits) {
+  const std::uint64_t biased = (bits >> 52) & 0x7ff;
+  return (bits & kFracMask) | (biased != 0 ? kFracMask + 1 : 0);
+}
+
+int bit_offset(unsigned biased) {
+  return biased == 0 ? 0 : static_cast<int>(biased) - 1;
+}
+
+void require_finite_square(double x) {
+  GS_REQUIRE(std::isfinite(x) && std::isfinite(x * x),
+             "ExactStats requires finite values with finite squares");
+}
+
+/// Carry-free partial sums for ExactStats::add_many, kept per thread.
+/// For every sign and biased exponent (the top 12 bits of a double) an
+/// entry holds two 128-bit bins: the sum of the mantissas of the x that
+/// landed there, and of the x * x. 53-bit mantissas leave room for 2^75
+/// adds per bin. Both bins of an exponent share one 32-byte entry, so the
+/// two bins one element updates can never be 4 KB apart (a false
+/// store-to-load dependence that stalls the loop). Bit g of a `used`
+/// mask is set once a bin of entries [64g, 64g + 64) has been added to,
+/// so a drain visits only those.
+struct BulkBins {
+  struct Bin {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+  };
+  struct Entry {
+    Bin x;
+    Bin xx;
+  };
+  std::array<Entry, 4096> entries{};
+  std::uint64_t used_x = 0;
+  std::uint64_t used_xx = 0;
+
+  /// Calls f(negative, offset, lo, hi) for each nonzero `which` bin,
+  /// clearing it.
+  template <class F>
+  void drain(Bin Entry::*which, std::uint64_t& used, F&& f) {
+    for (; used != 0; used &= used - 1) {
+      const auto first = static_cast<unsigned>(std::countr_zero(used)) * 64;
+      for (unsigned i = first; i < first + 64; ++i) {
+        Bin& b = entries[i].*which;
+        if ((b.lo | b.hi) == 0) continue;
+        f((i >> 11) != 0, bit_offset(i & 0x7ff), b.lo, b.hi);
+        b = Bin{};
+      }
+    }
+  }
+};
+
+/// Bins every x and the rounded x * x of `xs`; false if some x or x * x
+/// is not finite (x * x <= DBL_MAX fails exactly for inf and NaN). Each
+/// chunk takes two loops: a vectorized one splits x and x * x into bin
+/// index and mantissa, then a scalar one adds the mantissas to their
+/// bins, so the scatter loop issues nothing but its loads and adds.
+bool bin_run(std::span<const double> xs, BulkBins& bins) {
+  constexpr std::size_t kChunk = 256;
+  std::uint64_t at_x[kChunk], m_x[kChunk], at_xx[kChunk], m_xx[kChunk];
+  BulkBins::Entry* const entries = bins.entries.data();
+  std::uint64_t used_x = 0;
+  std::uint64_t used_xx = 0;
+  unsigned bad = 0;
+  for (std::size_t c = 0; c < xs.size(); c += kChunk) {
+    const std::size_t n = std::min(kChunk, xs.size() - c);
+    const double* p = xs.data() + c;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double q = p[i] * p[i];
+      bad |= q <= std::numeric_limits<double>::max() ? 0u : 1u;
+      const auto ux = std::bit_cast<std::uint64_t>(p[i]);
+      const auto uq = std::bit_cast<std::uint64_t>(q);
+      at_x[i] = ux >> 52;
+      at_xx[i] = uq >> 52;
+      m_x[i] = mantissa(ux);
+      m_xx[i] = mantissa(uq);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      used_x |= std::uint64_t{1} << (at_x[i] >> 6);
+      used_xx |= std::uint64_t{1} << (at_xx[i] >> 6);
+      BulkBins::Bin& bx = entries[at_x[i]].x;
+      bx.lo += m_x[i];
+      bx.hi += bx.lo < m_x[i] ? 1 : 0;
+      BulkBins::Bin& bxx = entries[at_xx[i]].xx;
+      bxx.lo += m_xx[i];
+      bxx.hi += bxx.lo < m_xx[i] ? 1 : 0;
+    }
+  }
+  bins.used_x |= used_x;
+  bins.used_xx |= used_xx;
+  return bad == 0;
+}
+
+/// This thread's add_many scratch (128 KB, allocated on its first bulk
+/// add, all zero between calls).
+BulkBins& bulk_bins() {
+  thread_local std::unique_ptr<BulkBins> bins;
+  if (!bins) bins = std::make_unique<BulkBins>();
+  return *bins;
+}
+
 }  // namespace
+
+void ExactSum::add_at(bool negative, int offset, std::uint64_t v) {
+  const auto limb = static_cast<std::size_t>(offset / 64);
+  const int shift = offset % 64;
+  Limbs& acc = negative ? neg_ : pos_;
+  add_limb(acc, limb, v << shift);
+  if (shift != 0) add_limb(acc, limb + 1, v >> (64 - shift));
+}
 
 void ExactSum::add(double x) {
   GS_REQUIRE(std::isfinite(x), "ExactSum::add requires a finite value");
   if (x == 0.0) return;
-
-  // Decompose x = sign * m * 2^e with integer m < 2^53: biased exponent 0
-  // is subnormal (m = frac, e = -1074); otherwise the implicit leading
-  // bit joins the fraction and e = E - 1075.
   const auto bits = std::bit_cast<std::uint64_t>(x);
-  const bool negative = (bits >> 63) != 0;
-  const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
-  const std::uint64_t frac = bits & ((std::uint64_t{1} << 52) - 1);
-  const std::uint64_t m = biased == 0 ? frac : (frac | (std::uint64_t{1} << 52));
-  const int e = biased == 0 ? -1074 : biased - 1075;
-
-  // Bit 0 of limb 0 is 2^-1074, so m lands at bit offset e + 1074.
-  const int offset = e + 1074;
-  const auto limb = static_cast<std::size_t>(offset / 64);
-  const int shift = offset % 64;
-  Limbs& acc = negative ? neg_ : pos_;
-  add_limb(acc, limb, m << shift);
-  if (shift != 0) add_limb(acc, limb + 1, m >> (64 - shift));
+  add_at((bits >> 63) != 0, bit_offset((bits >> 52) & 0x7ff), mantissa(bits));
 }
 
 void ExactSum::merge(const ExactSum& other) {
@@ -162,8 +263,7 @@ ExactSum ExactSum::from_limbs(const Limbs& pos, const Limbs& neg) {
 }
 
 void ExactStats::add(double x) {
-  GS_REQUIRE(std::isfinite(x) && std::isfinite(x * x),
-             "ExactStats requires finite values with finite squares");
+  require_finite_square(x);
   if (n_ == 0) {
     min_ = max_ = x;
   } else {
@@ -173,6 +273,42 @@ void ExactStats::add(double x) {
   ++n_;
   sum_.add(x);
   sumsq_.add(x * x);
+}
+
+void ExactStats::add_many(std::span<const double> xs) {
+  if (xs.empty()) return;
+  BulkBins& bins = bulk_bins();
+  if (!bin_run(xs, bins)) {
+    const auto discard = [](bool, int, std::uint64_t, std::uint64_t) {};
+    bins.drain(&BulkBins::Entry::x, bins.used_x, discard);
+    bins.drain(&BulkBins::Entry::xx, bins.used_xx, discard);
+    for (const double x : xs) require_finite_square(x);  // throws
+  }
+  const auto fold_into = [](ExactSum& sum) {
+    return [&sum](bool negative, int offset, std::uint64_t lo,
+                  std::uint64_t hi) {
+      sum.add_at(negative, offset, lo);
+      sum.add_at(negative, offset + 64, hi);
+    };
+  };
+  bins.drain(&BulkBins::Entry::x, bins.used_x, fold_into(sum_));
+  bins.drain(&BulkBins::Entry::xx, bins.used_xx, fold_into(sumsq_));
+
+  // Equal doubles have equal bits except +0 and -0, and add()'s
+  // std::min/std::max keep the first of equal values: a zero extremum is
+  // the first zero in order.
+  simd::MinMax mm = simd::minmax_run<simd::kNativeWidth>(
+      xs.data(), static_cast<std::int64_t>(xs.size()));
+  if (mm.lo == 0.0) mm.lo = *std::find(xs.begin(), xs.end(), 0.0);
+  if (mm.hi == 0.0) mm.hi = *std::find(xs.begin(), xs.end(), 0.0);
+  if (n_ == 0) {
+    min_ = mm.lo;
+    max_ = mm.hi;
+  } else {
+    min_ = std::min(min_, mm.lo);
+    max_ = std::max(max_, mm.hi);
+  }
+  n_ += xs.size();
 }
 
 void ExactStats::merge(const ExactStats& other) {
@@ -322,13 +458,13 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   GS_REQUIRE(hi > lo, "histogram range [" << lo << "," << hi << ") empty");
 }
 
-void Histogram::add(double x) {
+void Histogram::add(double x, std::size_t copies) {
   const double scaled =
       (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
   auto bin = static_cast<long>(std::floor(scaled));
   bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
+  counts_[static_cast<std::size_t>(bin)] += copies;
+  total_ += copies;
 }
 
 void Histogram::add_all(const std::vector<double>& xs) {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,12 @@ class RunningStats {
 /// top limbs leave > 2^64 addends of headroom above the largest finite
 /// double, so no realistic accumulation overflows. Inputs must be finite
 /// (checked by callers such as ExactStats).
+///
+/// Both ways in (add() per element, and ExactStats::add_many's binned
+/// fold) go through one rule, add_at(): an unsigned integer at a bit
+/// offset, added with carry. The limbs hold the exact integer sum of
+/// every addend's mantissa at its offset, so they are the same bits
+/// whichever way — or in whatever grouping — the addends arrived.
 class ExactSum {
  public:
   /// 34 * 64 bits = 2176 >= 2098 value bits (2^-1074 .. 2^1023 mantissa
@@ -85,6 +92,12 @@ class ExactSum {
   static ExactSum from_limbs(const Limbs& pos, const Limbs& neg);
 
  private:
+  friend class ExactStats;  // add_many folds its exponent bins via add_at
+
+  /// The one accumulation rule: adds v * 2^(offset - 1074) to the
+  /// negative or positive magnitude, carrying upward.
+  void add_at(bool negative, int offset, std::uint64_t v);
+
   Limbs pos_{};
   Limbs neg_{};
 };
@@ -98,6 +111,14 @@ class ExactSum {
 class ExactStats {
  public:
   void add(double x);
+  /// Bulk add, bit for bit the same state as add() on each element in
+  /// order: the same limbs, count, and min/max (down to which signed zero
+  /// a ±0 extremum keeps). Mantissas of x and of the rounded x*x are
+  /// summed without carries into 128-bit bins indexed by sign and biased
+  /// exponent (thread-local scratch), which fold into the limbs once at
+  /// the end; min/max is one vectorized pass. A non-finite x or x*x
+  /// throws the same gs::Error as add(), leaving *this unchanged.
+  void add_many(std::span<const double> xs);
   void merge(const ExactStats& other);
 
   std::uint64_t count() const { return n_; }
@@ -205,7 +226,8 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
-  void add(double x);
+  /// Counts `copies` samples of value x.
+  void add(double x, std::size_t copies = 1);
   void add_all(const std::vector<double>& xs);
   /// Bulk add with a vectorized bin computation (gs::simd packs): the
   /// scale arithmetic runs W lanes at a time with the elementwise IEEE

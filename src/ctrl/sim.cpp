@@ -60,13 +60,13 @@ SimResult run_sim(const SimConfig& config) {
   // endpoints are fake — nothing dials them.
   std::vector<shard::ShardInfo> members;
   for (std::size_t i = 0; i < config.initial_shards; ++i) {
-    const std::string id = "s" + std::to_string(i);
+    const std::string id = std::string("s").append(std::to_string(i));
     members.push_back({id, "sim:" + id});
   }
   std::vector<shard::ShardInfo> spares;
   for (std::size_t i = 0; i < config.spare_count; ++i) {
     const std::string id =
-        "s" + std::to_string(config.initial_shards + i);
+        std::string("s").append(std::to_string(config.initial_shards + i));
     spares.push_back({id, "sim:" + id});
   }
   auto initial = std::make_shared<const shard::ShardMap>(

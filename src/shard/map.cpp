@@ -89,7 +89,7 @@ json::Value ShardMap::to_json() const {
     json::Object e;
     e["id"] = json::Value(s.id);
     e["endpoint"] = json::Value(s.endpoint);
-    arr.push_back(json::Value(std::move(e)));
+    arr.emplace_back(std::move(e));
   }
   o["shards"] = json::Value(std::move(arr));
   return json::Value(std::move(o));

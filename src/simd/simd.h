@@ -29,6 +29,17 @@ namespace gs::simd {
 /// Lanes of the configure-time vector width (1 = scalar fallback).
 inline constexpr int kNativeWidth = GS_SIMD_WIDTH;
 
+/// Doubles per hardware vector register of the compile target. A pack
+/// wider than this is split by the compiler; loops that keep packs live
+/// across iterations (reductions) accumulate in packs of this width.
+#if defined(__AVX512F__)
+inline constexpr int kRegisterWidth = 8;
+#elif defined(__AVX__)
+inline constexpr int kRegisterWidth = 4;
+#else
+inline constexpr int kRegisterWidth = 2;
+#endif
+
 /// W doubles computed elementwise. Loads/stores are unaligned (memcpy —
 /// the compiler lowers them to vector moves), so callers never owe an
 /// alignment promise for interior-offset stencil accesses.
@@ -121,17 +132,20 @@ struct pack {
   /// the std:: versions, NaN/-0.0 handling depends on argument order —
   /// callers that need order-independence must guarantee totally ordered
   /// inputs (simulation fields qualify).
-  friend pack min(pack a, pack b) {
+  friend pack min(pack a, pack b) { return where_less(b, a, b, a); }
+  friend pack max(pack a, pack b) { return where_less(a, b, b, a); }
+
+ private:
+  /// Per lane: x < y ? t : f, as one vector compare and select.
+  static pack where_less(pack x, pack y, pack t, pack f) {
+#if defined(__GNUC__) || defined(__clang__)
+    return pack{x.v < y.v ? t.v : f.v};
+#else
     pack r;
     for (int l = 0; l < W; ++l)
-      r.set_lane(l, std::min(a.lane(l), b.lane(l)));
+      r.set_lane(l, x.lane(l) < y.lane(l) ? t.lane(l) : f.lane(l));
     return r;
-  }
-  friend pack max(pack a, pack b) {
-    pack r;
-    for (int l = 0; l < W; ++l)
-      r.set_lane(l, std::max(a.lane(l), b.lane(l)));
-    return r;
+#endif
   }
 };
 
@@ -173,23 +187,34 @@ struct MinMax {
 /// commutative, so for data without NaN or mixed-sign zeros the result is
 /// bitwise identical to the serial left-to-right scan — the property the
 /// histogram range pass and its W=1-vs-native identity test rely on.
+///
+/// The W lanes are kept as W/A packs of A = min(W, kRegisterWidth)
+/// lanes: a pack wider than a register lives on the stack, and every
+/// select of it goes through memory, while register-wide packs stay in
+/// registers. Lane l of the W-wide formulation is lane l % A of pack
+/// l / A, so the lane order of the merge is the same.
 template <int W>
 inline MinMax minmax_run(const double* p, std::int64_t n) {
   MinMax out{p[0], p[0]};
   std::int64_t i = 0;
   if constexpr (W > 1) {
+    constexpr int A = W < kRegisterWidth ? W : kRegisterWidth;
+    constexpr int K = W / A;
     if (n >= 2 * W) {
-      pack<W> lo = pack<W>::load(p);
-      pack<W> hi = lo;
+      pack<A> lo[K];
+      pack<A> hi[K];
+      for (int k = 0; k < K; ++k) lo[k] = hi[k] = pack<A>::load(p + k * A);
       for (i = W; i + W <= n; i += W) {
-        const pack<W> x = pack<W>::load(p + i);
-        lo = min(lo, x);
-        hi = max(hi, x);
+        for (int k = 0; k < K; ++k) {
+          const pack<A> x = pack<A>::load(p + i + k * A);
+          lo[k] = min(lo[k], x);
+          hi[k] = max(hi[k], x);
+        }
       }
-      out = MinMax{lo.lane(0), hi.lane(0)};
+      out = MinMax{lo[0].lane(0), hi[0].lane(0)};
       for (int l = 1; l < W; ++l) {
-        out.lo = std::min(out.lo, lo.lane(l));
-        out.hi = std::max(out.hi, hi.lane(l));
+        out.lo = std::min(out.lo, lo[l / A].lane(l % A));
+        out.hi = std::max(out.hi, hi[l / A].lane(l % A));
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/error.h"
@@ -261,6 +262,18 @@ void Service::process(Job job) {
 }
 
 ResponseBody Service::execute(const QueryBody& body, Response& response) {
+  // The whole-array verbs reduce over the blocks in place. Cells no
+  // readable block holds (a damaged block's) count as zeros, the value a
+  // zero-filled read of the whole array gives them.
+  const auto every_block = [](std::size_t) { return true; };
+  const auto unread_cells = [&](const std::string& variable,
+                                std::int64_t read) {
+    const std::int64_t volume = reader_.info(variable).shape.volume();
+    GS_REQUIRE(read <= volume, "blocks of \"" << variable
+                                               << "\" hold more cells "
+                                                  "than its shape");
+    return static_cast<std::uint64_t>(volume - read);
+  };
   return std::visit(
       overloaded{
           [&](const ListVariablesQ&) -> ResponseBody {
@@ -274,26 +287,56 @@ ResponseBody Service::execute(const QueryBody& body, Response& response) {
             return r;
           },
           [&](const FieldStatsQ& q) -> ResponseBody {
-            const auto info = reader_.info(q.variable);
-            const auto data = read_selection(
-                q.variable, q.step, Box3{{0, 0, 0}, info.shape}, response);
-            return FieldStatsR{analysis::compute_stats(data)};
+            ExactStats acc;
+            std::int64_t read = 0;
+            scan_blocks(q.variable, q.step, every_block,
+                        [&](const BlockRef& ref) {
+                          acc.merge(analysis::exact_stats(ref.data));
+                          read += static_cast<std::int64_t>(ref.data.size());
+                        },
+                        response);
+            acc.merge(ExactStats::from_parts(unread_cells(q.variable, read),
+                                             0.0, 0.0, {}, {}));
+            return FieldStatsR{analysis::stats_from_exact(acc)};
           },
           [&](const HistogramQ& q) -> ResponseBody {
             GS_REQUIRE(q.bins >= 1 && q.bins <= (1u << 20),
                        "histogram bins " << q.bins << " out of range");
-            const auto info = reader_.info(q.variable);
-            const auto data = read_selection(
-                q.variable, q.step, Box3{{0, 0, 0}, info.shape}, response);
-            if (q.has_range) {
-              GS_REQUIRE(q.hi > q.lo, "histogram range [" << q.lo << ","
-                                                          << q.hi
-                                                          << ") empty");
-              return merge::histogram_response(
-                  analysis::field_histogram(data, q.bins, q.lo, q.hi));
+            GS_REQUIRE(!q.has_range || q.hi > q.lo,
+                       "histogram range [" << q.lo << "," << q.hi
+                                           << ") empty");
+            std::vector<BlockRef> refs;
+            std::int64_t read = 0;
+            scan_blocks(q.variable, q.step, every_block,
+                        [&](const BlockRef& ref) {
+                          refs.push_back(ref);
+                          read += static_cast<std::int64_t>(ref.data.size());
+                        },
+                        response);
+            const std::uint64_t zeros = unread_cells(q.variable, read);
+            double lo = q.lo;
+            double hi = q.hi;
+            if (!q.has_range) {
+              // The two passes of field_histogram over the blocks: the
+              // global range first, then every block binned against it.
+              bool first = true;
+              const auto widen = [&](std::pair<double, double> range) {
+                lo = first ? range.first : std::min(lo, range.first);
+                hi = first ? range.second : std::max(hi, range.second);
+                first = false;
+              };
+              for (const BlockRef& ref : refs) {
+                widen(analysis::field_range(ref.data));
+              }
+              if (zeros > 0) widen({0.0, 0.0});
+              std::tie(lo, hi) = analysis::histogram_range(lo, hi);
             }
-            return merge::histogram_response(
-                analysis::field_histogram(data, q.bins));
+            Histogram h(lo, hi, q.bins);
+            for (const BlockRef& ref : refs) {
+              h.merge(analysis::field_histogram(ref.data, q.bins, lo, hi));
+            }
+            if (zeros > 0) h.add(0.0, zeros);
+            return merge::histogram_response(h);
           },
           [&](const Slice2DQ& q) -> ResponseBody {
             GS_REQUIRE(q.axis >= 0 && q.axis < 3, "axis must be 0..2");
@@ -355,10 +398,12 @@ ResponseBody Service::execute_partial(const Request& request,
 
   PartialMeta meta;
   meta.epoch = map.epoch();
-  const auto owned = [&](const std::string& variable, std::int64_t step,
-                         std::size_t block) {
-    return ep.ring->owner(shard::Ring::block_key(variable, step, block)) ==
-           sel.act_as;
+  const auto owned_block = [&](const std::string& variable,
+                               std::int64_t step) {
+    return [&, variable, step](std::size_t block) {
+      return ep.ring->owner(shard::Ring::block_key(variable, step, block)) ==
+             sel.act_as;
+    };
   };
 
   ResponseBody body = std::visit(
@@ -369,17 +414,14 @@ ResponseBody Service::execute_partial(const Request& request,
             return execute(QueryBody{q}, response);
           },
           [&](const FieldStatsQ& q) -> ResponseBody {
-            const auto blks = reader_.blocks(q.variable, q.step);
-            meta.total_blocks = blks.size();
             ExactStats acc;
-            for (std::size_t b = 0; b < blks.size(); ++b) {
-              if (!owned(q.variable, q.step, b)) continue;
-              const BlockRef ref =
-                  fetch_block_ref(q.variable, q.step, b, response);
-              if (!ref.ok()) continue;  // damaged: stays uncovered
-              acc.merge(analysis::exact_stats(ref.data));
-              ++meta.covered_blocks;
-            }
+            meta.total_blocks = scan_blocks(
+                q.variable, q.step, owned_block(q.variable, q.step),
+                [&](const BlockRef& ref) {
+                  acc.merge(analysis::exact_stats(ref.data));
+                  ++meta.covered_blocks;
+                },
+                response);
             meta.stats = acc;
             return FieldStatsR{analysis::stats_from_exact(acc)};
           },
@@ -389,18 +431,15 @@ ResponseBody Service::execute_partial(const Request& request,
             GS_REQUIRE(q.has_range && q.hi > q.lo,
                        "shard histogram sub-query needs an explicit "
                        "non-empty range");
-            const auto blks = reader_.blocks(q.variable, q.step);
-            meta.total_blocks = blks.size();
             Histogram h(q.lo, q.hi, q.bins);
-            for (std::size_t b = 0; b < blks.size(); ++b) {
-              if (!owned(q.variable, q.step, b)) continue;
-              const BlockRef ref =
-                  fetch_block_ref(q.variable, q.step, b, response);
-              if (!ref.ok()) continue;
-              h.merge(
-                  analysis::field_histogram(ref.data, q.bins, q.lo, q.hi));
-              ++meta.covered_blocks;
-            }
+            meta.total_blocks = scan_blocks(
+                q.variable, q.step, owned_block(q.variable, q.step),
+                [&](const BlockRef& ref) {
+                  h.merge(analysis::field_histogram(ref.data, q.bins, q.lo,
+                                                    q.hi));
+                  ++meta.covered_blocks;
+                },
+                response);
             return merge::histogram_response(h);
           },
           [&](const Slice2DQ& q) -> ResponseBody {
@@ -668,6 +707,19 @@ Service::BlockRef Service::fetch_block_ref(const std::string& variable,
   ref.owned = data;
   response.bytes_scanned += ref.data.size() * sizeof(double);
   return ref;
+}
+
+std::size_t Service::scan_blocks(
+    const std::string& variable, std::int64_t step,
+    const std::function<bool(std::size_t)>& owned,
+    const std::function<void(const BlockRef&)>& visit, Response& response) {
+  const std::size_t n_blocks = reader_.blocks(variable, step).size();
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    if (!owned(b)) continue;
+    const BlockRef ref = fetch_block_ref(variable, step, b, response);
+    if (ref.ok()) visit(ref);
+  }
+  return n_blocks;
 }
 
 void Service::count_outcome(Verb verb, StatusCode code,

@@ -294,6 +294,15 @@ class Service {
   /// route. Maintains the response's fetch counters on both routes.
   BlockRef fetch_block_ref(const std::string& variable, std::int64_t step,
                            std::size_t block, Response& response);
+  /// The per-block loop of the whole-array verbs: fetches, once each and
+  /// in block order, the blocks of variable/step that `owned(b)` accepts
+  /// and calls `visit(ref)` on each readable one. A damaged block is
+  /// skipped (fetch_block_ref has flagged the response). Returns the
+  /// step's block count. A daemon without a shard role owns every block.
+  std::size_t scan_blocks(const std::string& variable, std::int64_t step,
+                          const std::function<bool(std::size_t)>& owned,
+                          const std::function<void(const BlockRef&)>& visit,
+                          Response& response);
   /// read_selection restricted to the blocks `act_as` owns under `ring`:
   /// unowned cells stay zero, coverage boxes (selection-local) and block
   /// counts land in `meta` for the router's overlay merge.

@@ -34,7 +34,7 @@ using gs::DecayedRate;
 shard::ShardMap make_map(std::size_t n, std::uint64_t epoch = 1) {
   std::vector<shard::ShardInfo> shards;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string id = "s" + std::to_string(i);
+    const std::string id = std::string("s").append(std::to_string(i));
     shards.push_back(shard::ShardInfo{id, "sim:" + id});
   }
   return shard::ShardMap(epoch, 64, std::move(shards));
@@ -50,7 +50,7 @@ ctrl::ClusterView make_view(std::size_t n, double per_shard_load) {
   ctrl::ClusterView v;
   for (std::size_t i = 0; i < n; ++i) {
     ctrl::ShardEstimate e;
-    e.id = "s" + std::to_string(i);
+    e.id = std::string("s").append(std::to_string(i));
     e.endpoint = "sim:" + e.id;
     e.reachable = true;
     e.epoch = 1;

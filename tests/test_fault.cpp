@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "bp/manifest.h"
 #include "bp/reader.h"
 #include "bp/writer.h"
@@ -87,6 +89,8 @@ void write_uv(const std::string& path, std::int64_t L, int n_steps) {
     w.close();
   });
 }
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Bitwise equality of two double fields (no epsilon: restart must be
 /// exact, not close).
@@ -601,27 +605,29 @@ TEST(FaultSvc, AdmissionFaultRejectsJustThatRequest) {
   fs::remove_all(path);
 }
 
+/// Physically flips a byte in block 0 of U, step 0.
+void corrupt_first_u_block(const std::string& path) {
+  gs::bp::Reader r(path);
+  const auto blocks = r.blocks("U", 0);
+  ASSERT_FALSE(blocks.empty());
+  const auto& victim = blocks[0];
+  const std::string subfile = gs::bp::subfile_name(victim.subfile);
+  std::fstream f(fs::path(path) / subfile,
+                 std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good());
+  f.seekg(static_cast<std::streamoff>(victim.offset) + 8);
+  char c;
+  f.read(&c, 1);
+  c = static_cast<char>(c ^ 0x20);
+  f.seekp(static_cast<std::streamoff>(victim.offset) + 8);
+  f.write(&c, 1);
+}
+
 TEST(FaultSvc, CorruptBlockYieldsDegradedPartialAnswer) {
   const std::string path = temp_path("svc_degraded");
   fs::remove_all(path);
   write_uv(path, 8, 1);
-  // Physically flip a byte in one U block.
-  {
-    gs::bp::Reader r(path);
-    const auto blocks = r.blocks("U", 0);
-    ASSERT_FALSE(blocks.empty());
-    const auto& victim = blocks[0];
-    const std::string subfile = gs::bp::subfile_name(victim.subfile);
-    std::fstream f(fs::path(path) / subfile,
-                   std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(f.good());
-    f.seekg(static_cast<std::streamoff>(victim.offset) + 8);
-    char c;
-    f.read(&c, 1);
-    c = static_cast<char>(c ^ 0x20);
-    f.seekp(static_cast<std::streamoff>(victim.offset) + 8);
-    f.write(&c, 1);
-  }
+  ASSERT_NO_FATAL_FAILURE(corrupt_first_u_block(path));
 
   gs::svc::Service service(path);
   gs::svc::Request req;
@@ -639,6 +645,73 @@ TEST(FaultSvc, CorruptBlockYieldsDegradedPartialAnswer) {
   ASSERT_TRUE(vresp.status.ok());
   EXPECT_FALSE(vresp.degraded);
   EXPECT_EQ(service.metrics().degraded, 1u);
+  fs::remove_all(path);
+}
+
+TEST(FaultSvc, DegradedWholeArrayAnswersKeepTheirBytes) {
+  // A damaged block's cells count as zeros in field_stats and histogram:
+  // the answers are those of the zero-filled salvage read of the array,
+  // bit for bit, on the mmap route and on the copying (cached) route.
+  const std::string path = temp_path("svc_degraded_whole");
+  fs::remove_all(path);
+  write_uv(path, 8, 1);
+  ASSERT_NO_FATAL_FAILURE(corrupt_first_u_block(path));
+
+  gs::bp::SalvageReport report;
+  const auto zero_filled =
+      gs::bp::Reader(path).read_full_salvage("U", 0, report);
+  ASSERT_EQ(report.bad.size(), 1u);
+  const auto want_stats = gs::analysis::compute_stats(zero_filled);
+  const auto want_hist = gs::analysis::field_histogram(zero_filled, 16);
+  const auto want_ranged =
+      gs::analysis::field_histogram(zero_filled, 16, -50.0, 500.0);
+
+  const auto expect_histogram = [](const gs::svc::Response& resp,
+                                   const gs::Histogram& want) {
+    ASSERT_TRUE(resp.status.ok()) << resp.status.message;
+    EXPECT_TRUE(resp.degraded);
+    EXPECT_EQ(resp.bad_blocks, 1u);
+    const auto& h = std::get<gs::svc::HistogramR>(resp.body);
+    EXPECT_EQ(bits_of(h.lo), bits_of(want.bin_lo(0)));
+    EXPECT_EQ(bits_of(h.hi), bits_of(want.bin_hi(want.bins() - 1)));
+    EXPECT_EQ(h.total, want.total());
+    ASSERT_EQ(h.counts.size(), want.bins());
+    for (std::size_t b = 0; b < want.bins(); ++b) {
+      EXPECT_EQ(h.counts[b], want.count(b)) << "bin " << b;
+    }
+  };
+
+  for (const bool mmap_reads : {true, false}) {
+    SCOPED_TRACE(mmap_reads ? "mmap" : "cache");
+    gs::svc::ServiceConfig config;
+    config.mmap_reads = mmap_reads;
+    gs::svc::Service service(path, config);
+
+    gs::svc::Request stats;
+    stats.body = gs::svc::FieldStatsQ{"U", 0};
+    const auto sresp = service.call(stats);
+    ASSERT_TRUE(sresp.status.ok()) << sresp.status.message;
+    EXPECT_TRUE(sresp.degraded);
+    EXPECT_EQ(sresp.bad_blocks, 1u);
+    const auto& got = std::get<gs::svc::FieldStatsR>(sresp.body).stats;
+    EXPECT_EQ(got.count, want_stats.count);
+    EXPECT_EQ(bits_of(got.min), bits_of(want_stats.min));
+    EXPECT_EQ(bits_of(got.max), bits_of(want_stats.max));
+    EXPECT_EQ(bits_of(got.mean), bits_of(want_stats.mean));
+    EXPECT_EQ(bits_of(got.stddev), bits_of(want_stats.stddev));
+
+    gs::svc::Request hist;
+    hist.body = gs::svc::HistogramQ{"U", 0, 16};
+    expect_histogram(service.call(hist), want_hist);
+
+    gs::svc::HistogramQ ranged{"U", 0, 16};
+    ranged.has_range = true;
+    ranged.lo = -50.0;
+    ranged.hi = 500.0;
+    gs::svc::Request rhist;
+    rhist.body = ranged;
+    expect_histogram(service.call(rhist), want_ranged);
+  }
   fs::remove_all(path);
 }
 

@@ -155,8 +155,8 @@ TEST(Profiler, RecordIsThreadSafeAndLanesAreDistinct) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&p, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        p.record(make_span("t" + std::to_string(t), SpanKind::kernel,
-                           i * 1.0, i * 1.0 + 0.5));
+        p.record(make_span(std::string("t").append(std::to_string(t)),
+                           SpanKind::kernel, i * 1.0, i * 1.0 + 0.5));
       }
     });
   }

@@ -865,6 +865,16 @@ TEST(RpcStream, SlowConsumerDropsStepsInsteadOfStalling) {
   // lagging consumer.
   producer.join();
   EXPECT_TRUE(producer_done.load());
+  // Read only once the bridge has dropped every step but the first.
+  // Reading returns the credit for step 0; were steps still waiting for
+  // the bridge then (up to the stream's capacity), one more would go out.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().steps_dropped <
+             static_cast<std::uint64_t>(kPushed) - 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   std::uint64_t received = 0;
   while (client.next_step(10000)) ++received;

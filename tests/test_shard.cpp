@@ -13,21 +13,27 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "bp/writer.h"
 #include "common/stats.h"
+#include "core/reference.h"
 #include "fault/fault.h"
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
@@ -105,8 +111,9 @@ shard::ShardMap make_map(std::size_t n, std::uint64_t epoch = 1,
                          std::size_t vnodes = 64) {
   std::vector<shard::ShardInfo> shards;
   for (std::size_t i = 0; i < n; ++i) {
-    shards.push_back(shard::ShardInfo{"s" + std::to_string(i),
-                                      "127.0.0.1:" + std::to_string(7000 + i)});
+    shards.push_back(
+        shard::ShardInfo{std::string("s").append(std::to_string(i)),
+                         "127.0.0.1:" + std::to_string(7000 + i)});
   }
   return shard::ShardMap(epoch, vnodes, std::move(shards));
 }
@@ -354,6 +361,167 @@ TEST(ExactMerge, ListVariablesMergeDetectsDisagreement) {
   EXPECT_THROW(svc::merge::merge_list_variables(empty), gs::Error);
 }
 
+// ---- bulk exact accumulation: add_many is add() bit for bit ---------------
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The per-element reference: ExactStats::add on each x, in order.
+ExactStats added(std::span<const double> xs) {
+  ExactStats s;
+  for (const double x : xs) s.add(x);
+  return s;
+}
+
+/// Wire bytes of a shard's partial field_stats answer carrying `s`.
+std::vector<std::byte> partial_answer_bytes(const ExactStats& s) {
+  svc::Response r;
+  r.verb = svc::Verb::field_stats;
+  r.body = svc::FieldStatsR{gs::analysis::stats_from_exact(s)};
+  svc::PartialMeta meta;
+  meta.total_blocks = 1;
+  meta.covered_blocks = 1;
+  meta.stats = s;
+  r.partial = meta;
+  return rpc::encode_response(r);
+}
+
+/// add_many over `xs` leaves the state add() does: the same limbs and
+/// count (operator==), the same min/max bits (== on doubles cannot see
+/// -0.0 against 0.0) and the same partial-answer wire bytes.
+void expect_bulk_matches_add(std::span<const double> xs,
+                             const std::string& what) {
+  const ExactStats one = added(xs);
+  ExactStats many;
+  many.add_many(xs);
+  EXPECT_TRUE(many == one) << what;
+  EXPECT_EQ(bits_of(many.min()), bits_of(one.min())) << what;
+  EXPECT_EQ(bits_of(many.max()), bits_of(one.max())) << what;
+  EXPECT_EQ(partial_answer_bytes(many), partial_answer_bytes(one)) << what;
+}
+
+/// The largest double whose square is finite (about 1.34e154).
+double largest_squarable() {
+  double x = std::sqrt(std::numeric_limits<double>::max());
+  while (!std::isfinite(x * x)) x = std::nextafter(x, 0.0);
+  while (std::isfinite(std::nextafter(x, 2 * x) * std::nextafter(x, 2 * x))) {
+    x = std::nextafter(x, 2 * x);
+  }
+  return x;
+}
+
+TEST(ExactBulk, AddManyMatchesAddOnEdgeInputs) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double sub_max = std::numeric_limits<double>::min() - tiny;
+  expect_bulk_matches_add(
+      std::vector<double>{0.0, -0.0, tiny, -tiny, sub_max, -sub_max,
+                          std::numeric_limits<double>::min(), -1.0, 3.5,
+                          -0.0, 0.0, 7 * tiny, -2.5e-310},
+      "subnormals, signed zeros, negatives");
+  // Which zero a ±0 extremum keeps depends on the order: the first.
+  expect_bulk_matches_add(std::vector<double>{-0.0, 0.0, 1.0}, "-0 first");
+  expect_bulk_matches_add(std::vector<double>{0.0, -0.0, 1.0}, "+0 first");
+  expect_bulk_matches_add(std::vector<double>{0.0, -0.0, -1.0}, "max zero");
+  expect_bulk_matches_add(std::vector<double>{-0.0, -0.0, 0.0}, "all zero");
+  // Long enough for the vector min/max pass, with the first zero in
+  // lane 1 and a zero of the other sign in lane 0 (any width up to 8).
+  std::vector<double> lanes(40, 1.0);
+  lanes[1] = 0.0;
+  lanes[8] = -0.0;
+  expect_bulk_matches_add(lanes, "min zeros in different lanes");
+  for (double& x : lanes) x = -x;
+  expect_bulk_matches_add(lanes, "max zeros in different lanes");
+  expect_bulk_matches_add(
+      std::vector<double>{1e16, 1.0, -1e16, 1e-300, 3.0, -1e-300, -4.0,
+                          1e150, -1e150, 0.5},
+      "catastrophic cancellation");
+
+  const double big = largest_squarable();
+  std::vector<double> huge;
+  for (int i = 0; i < 3000; ++i) {
+    const double x = i % 3 == 0 ? big : std::nextafter(big, 0.0) / (1 + i % 5);
+    huge.push_back(i % 2 == 0 ? x : -x);
+  }
+  expect_bulk_matches_add(huge, "near the largest finite square");
+
+  // Addends over the whole exponent range, subnormals included.
+  std::mt19937_64 rng(2024);
+  std::vector<double> spread;
+  while (spread.size() < 20000) {
+    const std::uint64_t bits = rng() & ~(std::uint64_t{0x7ff} << 52);
+    const std::uint64_t biased = rng() % 2047;  // never inf/NaN
+    const double x = std::bit_cast<double>(bits | (biased << 52));
+    if (std::isfinite(x * x)) spread.push_back(x);
+  }
+  expect_bulk_matches_add(spread, "whole exponent range");
+
+  // Far more than 2048 of the largest mantissa in one bin: the 64-bit
+  // low word of a bin wraps, so its carry word must hold the rest.
+  std::vector<double> one_bin(10000, std::nextafter(2.0, 0.0));
+  expect_bulk_matches_add(one_bin, "one positive bin");
+  for (std::size_t i = 0; i < one_bin.size(); i += 3) one_bin[i] = -one_bin[i];
+  expect_bulk_matches_add(one_bin, "one bin per sign");
+}
+
+TEST(ExactBulk, AddManyMatchesAddOnAGrayScottField) {
+  const std::int64_t L = 24;
+  gs::Field3 u({L, L, L}), v({L, L, L});
+  gs::core::initialize_fields(u, v, {{0, 0, 0}, {L, L, L}}, L);
+  gs::core::reference_run(u, v, gs::core::GsParams{}, 7, 200, L);
+  expect_bulk_matches_add(u.interior_copy(), "U");
+  expect_bulk_matches_add(v.interior_copy(), "V");  // spans many binades
+}
+
+TEST(ExactBulk, ExactStatsMatchesAddAcrossTileEdges) {
+  // 32768 is analysis::exact_stats's tile grain; 256 is add_many's chunk.
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> value(-2.0, 3.0);
+  std::vector<double> data(3 * 32768 + 5);
+  for (double& x : data) x = value(rng);
+  for (const std::size_t n :
+       {0, 1, 2, 15, 16, 17, 255, 256, 257, 32767, 32768, 32769, 65535,
+        65536, 65537, static_cast<int>(data.size())}) {
+    const std::span<const double> xs(data.data(), n);
+    const ExactStats want = added(xs);
+    const ExactStats got = gs::analysis::exact_stats(xs);
+    EXPECT_TRUE(got == want) << "n=" << n;
+    EXPECT_EQ(partial_answer_bytes(got), partial_answer_bytes(want))
+        << "n=" << n;
+    // Onto an accumulator that already holds values.
+    ExactStats onto = added(std::span<const double>(data).last(3));
+    onto.add_many(xs);
+    ExactStats want_onto = added(std::span<const double>(data).last(3));
+    for (const double x : xs) want_onto.add(x);
+    EXPECT_TRUE(onto == want_onto) << "n=" << n;
+  }
+}
+
+TEST(ExactBulk, NonFiniteInputThrowsAddsErrorAndLeavesNoTrace) {
+  const auto message_of = [](const std::function<void()>& fn) {
+    try {
+      fn();
+    } catch (const gs::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::vector<double> good = {1.0, -2.5, 3.25, 1e-310};
+  for (const double bad :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e200, -1e200}) {
+    std::vector<double> data(600, 0.75);
+    data[300] = bad;
+    const std::string want = message_of([&] { added(data); });
+    ASSERT_NE(want, "no throw");
+    ExactStats many;
+    EXPECT_EQ(message_of([&] { many.add_many(data); }), want) << bad;
+    EXPECT_TRUE(many == ExactStats{}) << "a throwing add_many adds nothing";
+    EXPECT_EQ(message_of([&] { gs::analysis::exact_stats(data); }), want);
+    // The thread's bins were cleared: the next bulk add starts clean.
+    expect_bulk_matches_add(good, "after a throw");
+  }
+}
+
 // ---- wire protocol extensions --------------------------------------------
 
 TEST(ShardWire, SelectorAndPartialMetaRoundTrip) {
@@ -503,7 +671,7 @@ struct Cluster {
     std::vector<shard::ShardInfo> infos;
     for (std::size_t i = 0; i < n; ++i) {
       infos.push_back(shard::ShardInfo{
-          "s" + std::to_string(i),
+          std::string("s").append(std::to_string(i)),
           "unix:" + temp_path("cluster-" + tag + std::to_string(i)) +
               ".sock"});
     }
@@ -748,7 +916,8 @@ TEST(Reshard, ValidateSuccessorGivesDistinctOneLineReasons) {
 
   std::vector<shard::ShardInfo> strangers;
   for (int i = 0; i < 3; ++i) {
-    strangers.push_back(shard::ShardInfo{"t" + std::to_string(i), "x"});
+    strangers.push_back(
+        shard::ShardInfo{std::string("t").append(std::to_string(i)), "x"});
   }
   EXPECT_NE(error_of([&] {
               shard::validate_successor(
