@@ -270,19 +270,23 @@ svc::Response Router::subcall(ShardState& st, const svc::Request& sub) {
   fault::RetryPolicy policy;
   policy.attempts = config_.attempts;
   policy.backoff_seconds = config_.backoff_ms / 1000.0;
+  const std::vector<std::byte> payload = rpc::encode_request(sub);
   svc::Response out;
+  // One transport attempt per pass: the channel's own retry loop would
+  // multiply RouterConfig::attempts by ClientConfig::retries.
   fault::with_retries(policy, "shard.route:" + st.info.id, [&] {
     fault::Injector::instance().check(kRouteSite);
-    const auto t0 = std::chrono::steady_clock::now();
+    rpc::Channel::Call call;
+    rpc::Frame reply;
     try {
-      out = st.channel.call(sub);
+      call = st.channel.start(rpc::FrameType::request, payload);
+      reply = st.channel.wait(call);
     } catch (...) {
       record_call(st, std::nullopt);
       throw;
     }
-    record_call(st, std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
+    record_call(st, call.seconds);
+    out = rpc::decode_response(reply.payload);
   });
   return out;
 }

@@ -79,7 +79,8 @@ struct RouterConfig {
   std::size_t workers = 4;
   /// Admission-queue bound; 0 disables admission control.
   std::size_t queue_capacity = 64;
-  /// Transport attempts per failover candidate (fault::with_retries).
+  /// Transport attempts per failover candidate (fault::with_retries), in
+  /// total: each is one send on the shard's channel.
   int attempts = 2;
   double backoff_ms = 1.0;
   /// Try replicas (act_as failover) when a shard's own daemon is down.
@@ -89,7 +90,8 @@ struct RouterConfig {
   /// fed by query traffic only).
   std::int64_t probe_interval_ms = 200;
   HealthConfig health;
-  /// Per-shard connection settings (dial/io/call timeouts, wire retries).
+  /// Per-shard connection settings (dial/io/call timeouts). Its retries
+  /// cover the probe's pings and stats calls, not sub-queries.
   rpc::ClientConfig client;
   /// Epoch handover: how long reload_map waits for queries pinned to the
   /// old epoch to finish before abandoning the wait (they still complete;
@@ -233,7 +235,7 @@ class Router : public rpc::Handler {
   std::vector<std::string> candidates(const EpochState& ep,
                                       const std::string& act_as) const;
   /// One call on one daemon's channel; throws IoError on transport
-  /// failure (after fault::with_retries' attempts).
+  /// failure after RouterConfig::attempts start() + wait() attempts.
   svc::Response subcall(ShardState& state, const svc::Request& sub);
   /// Books one transport attempt on a shard: its round-trip seconds, or
   /// an error when `seconds` is empty.

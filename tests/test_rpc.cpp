@@ -1137,6 +1137,64 @@ TEST(RpcChannel, ReplyAfterTimeoutIsDroppedNeverHandedToALaterCall) {
   server.shutdown();
 }
 
+TEST(RpcChannel, ConnectionRefusalCarriesTheServerReason) {
+  gs::svc::Service service(dataset());
+  ServerConfig config;
+  config.max_connections = 1;
+  Server server(service, config);
+
+  Client first(server.endpoint());
+  first.ping();  // occupy the only slot
+  // The acceptor answers the second dial with an id-0 error_reply and
+  // closes; that text, not the bare close, is what the caller sees.
+  Client second(server.endpoint());
+  try {
+    second.ping();
+    ADD_FAILURE() << "a refused connection answered a ping";
+  } catch (const gs::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("connection limit"),
+              std::string::npos)
+        << e.what();
+  }
+  first.disconnect();
+  server.shutdown();
+  EXPECT_GE(server.stats().rejected_capacity, 1u);
+}
+
+TEST(RpcChannel, ReplyOfAnotherTypeFailsTheCallNamingBothTypes) {
+  // A fake server that answers every frame's id with a pong.
+  Listener listener = Listener::bind_listen(Endpoint::parse("127.0.0.1:0"), 4);
+  std::thread fake([&] {
+    std::optional<Socket> sock = listener.accept(5000);
+    if (!sock) return;
+    try {
+      while (const auto frame = recv_frame(*sock, 5000)) {
+        send_frame(*sock, Frame{FrameType::pong, frame->id, {}}, 5000);
+      }
+    } catch (const gs::IoError&) {
+      // the client hung up
+    }
+  });
+
+  ClientConfig config;
+  config.retries = 1;
+  Client client(listener.endpoint(), config);
+  try {
+    client.field_stats("U", 0);
+    ADD_FAILURE() << "a pong was accepted as a response";
+  } catch (const gs::Error& e) {  // not decoded as a Response: typed
+    EXPECT_NE(dynamic_cast<const gs::IoError*>(&e), nullptr) << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find(to_string(FrameType::response)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(to_string(FrameType::pong)), std::string::npos)
+        << what;
+  }
+  client.ping();  // a pong answering a ping is still fine
+  client.disconnect();
+  fake.join();
+}
+
 // ---- reload_map admin RPC ------------------------------------------------
 
 TEST(RpcAdmin, ReloadMapRequiresTokenAndHook) {
@@ -1226,6 +1284,73 @@ TEST(RpcStream, ShutdownAbandonsStreamSoProducersFailCleanly) {
   producer.join();
   EXPECT_TRUE(caught.load());
   EXPECT_TRUE(stream.abandoned());
+}
+
+TEST(RpcStream, QueriesInterleaveWithALiveSubscription) {
+  gs::svc::Service service(dataset());
+  constexpr std::int64_t kPushed = 6;
+  gs::bp::Stream stream(kPushed);
+  Server server(service, {}, &stream);
+  Client client(server.endpoint());
+  client.subscribe(/*credits=*/kPushed);
+
+  std::thread producer([&] {
+    for (std::int64_t s = 0; s < kPushed; ++s) stream.push(make_step(s));
+    stream.close();
+  });
+  std::int64_t expected = 0;
+  for (int q = 0;; ++q) {
+    const char* var = q % 2 ? "U" : "V";
+    ASSERT_TRUE(client.field_stats(var, q % kSteps).ok());
+    EXPECT_EQ(identity_crc(client.last_response()),
+              identity_crc(service.call(stats_request(var, q % kSteps))))
+        << "query " << q;
+    const auto step = client.next_step(10000);
+    if (!step) break;
+    EXPECT_EQ(step->sequence, expected);
+    ++expected;
+  }
+  producer.join();
+  EXPECT_EQ(expected, kPushed);
+  EXPECT_EQ(client.gaps_detected(), 0u);
+  EXPECT_EQ(client.stream_end().dropped, 0u);
+  EXPECT_EQ(client.stream_end().reason, "end of stream");
+  EXPECT_EQ(server.stats().accepted, 1u)
+      << "queries and the subscription share one connection";
+  server.shutdown();
+}
+
+TEST(RpcStream, LostConnectionEndsTheSubscriptionAndTheNextQueryRedials) {
+  gs::svc::Service service(dataset());
+  gs::bp::Stream stream(4);
+  Server server(service, {}, &stream);
+  Client client(server.endpoint());
+  client.subscribe(/*credits=*/4);
+  const svc::Request query = stats_request("U", 1);
+  const std::uint32_t expected = identity_crc(service.call(query));
+
+  stream.push(make_step(0));
+  ASSERT_TRUE(client.next_step(10000).has_value());
+  // Answered after step 0's credit went out, so both ends have read
+  // every frame so far.
+  ASSERT_EQ(identity_crc(client.call(query)), expected);
+
+  gs::fault::Plan plan;
+  // Op 0 is the next frame read in this process: the client's reader
+  // taking step 1 off the wire, killed mid-stream.
+  plan.kill_at("rpc.read", 0);
+  gs::fault::ScopedPlan scoped(plan);
+  stream.push(make_step(1));
+  EXPECT_FALSE(client.next_step(10000).has_value());
+  EXPECT_EQ(client.stream_end().reason, "connection closed");
+
+  const svc::Response r = client.call(query);
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
+  EXPECT_EQ(identity_crc(r), expected);
+  EXPECT_EQ(server.stats().accepted, 2u) << "the query redials";
+  EXPECT_EQ(server.stats().subscribers, 1u) << "the redial never resubscribes";
+  EXPECT_FALSE(client.next_step(10000).has_value());
+  server.shutdown();
 }
 
 }  // namespace

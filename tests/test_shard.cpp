@@ -785,6 +785,41 @@ TEST(ShardRouter, NoFailoverDegradesExplicitlyNeverSilently) {
   EXPECT_FALSE(cluster.router->health().alive("s2"));
 }
 
+TEST(ShardRouter, SubcallAttemptsAreTheWholeTransportCount) {
+  // A daemon that accepts and at once closes every connection: each
+  // transport attempt on its channel costs exactly one dial.
+  rpc::Listener listener =
+      rpc::Listener::bind_listen(rpc::Endpoint::parse("127.0.0.1:0"), 16);
+  std::atomic<bool> stop{false};
+  std::atomic<int> accepts{0};
+  std::thread acceptor([&] {
+    while (!stop.load()) {
+      if (listener.accept(20)) ++accepts;  // the socket closes at once
+    }
+  });
+  shard::RouterConfig config;
+  config.failover = false;
+  config.probe_interval_ms = 0;
+  config.attempts = 2;
+  config.client.retries = 3;
+  {
+    std::vector<shard::ShardInfo> infos{
+        shard::ShardInfo{"s0", listener.endpoint().str()}};
+    shard::Router router(
+        std::make_shared<const shard::ShardMap>(1, 64, std::move(infos)),
+        config);
+    svc::Request request;
+    request.body = svc::FieldStatsQ{"U", 1};
+    const svc::Response r = router.call(std::move(request));
+    EXPECT_TRUE(!r.status.ok() || r.degraded) << "nothing answered";
+  }
+  stop.store(true);
+  acceptor.join();
+  // Scatter's one attempt, then subcall's RouterConfig::attempts; the
+  // channel's ClientConfig::retries must not multiply them.
+  EXPECT_EQ(accepts.load(), 1 + 2);
+}
+
 TEST(ShardRouter, BadRequestPropagatesNamingTheShard) {
   Cluster cluster(2, {}, "badreq");
   svc::Request request;
