@@ -1,7 +1,8 @@
 // Functional micro-benchmarks (google-benchmark) — performance regression
 // guardrails for the library's own hot paths, as opposed to the paper-
 // reproduction harnesses which report *modeled* device numbers. These
-// measure real host throughput of: the stencil kernel body, halo
+// measure real host throughput of: the stencil kernel body (one cell, and
+// grayscott_tile over one rank's block at W=1 and native width), halo
 // pack/unpack, the L2 cache simulator, the reference solver, the Gorilla
 // codec, and a BP write/read cycle.
 #include <benchmark/benchmark.h>
@@ -16,9 +17,11 @@
 #include "core/kernels.h"
 #include "grid/halo.h"
 #include "core/reference.h"
+#include "core/stencil.h"
 #include "gpu/cache_sim.h"
 #include "gpu/device.h"
 #include "mpi/runtime.h"
+#include "simd/simd.h"
 
 namespace {
 
@@ -58,6 +61,42 @@ void BM_StencilKernelHost(benchmark::State& state) {
                           (kEdge - 2));
 }
 BENCHMARK(BM_StencilKernelHost);
+
+/// The real kernel, grayscott_tile<W>, over one rank's block of gsbench
+/// solve_write (L=64 on 4 ranks: a 64x32x32 interior) in one sweep, as a
+/// rank that is its own pool lane runs it. Arg: noise in percent.
+template <int W>
+void BM_GrayScottTile(benchmark::State& state) {
+  const gs::Index3 n{64, 32, 32};
+  gs::Field3 u(n), v(n), un(n), vn(n);
+  const gs::Box3 local{{0, 0, 0}, n};
+  gs::core::initialize_fields(u, v, local, 64);
+  gs::core::apply_periodic_ghosts(u);
+  gs::core::apply_periodic_ghosts(v);
+  gs::core::StencilArgs a;
+  a.u = u.data().data();
+  a.v = v.data().data();
+  a.u_next = un.data().data();
+  a.v_next = vn.data().data();
+  a.alloc = u.alloc_extent();
+  a.interior = n;
+  a.local = local;
+  a.global = {64, 64, 64};
+  a.params.noise = static_cast<double>(state.range(0)) / 100.0;
+  a.seed = 1234;
+  for (auto _ : state) {
+    gs::core::grayscott_tile<W>(a, 0, n.k);
+    benchmark::DoNotOptimize(a.u_next);
+    benchmark::ClobberMemory();
+    ++a.step;
+  }
+  state.SetItemsProcessed(state.iterations() * n.volume());
+}
+BENCHMARK_TEMPLATE(BM_GrayScottTile, 1)->ArgName("noise_pct")->Arg(0)->Arg(10);
+BENCHMARK_TEMPLATE(BM_GrayScottTile, gs::simd::kNativeWidth)
+    ->ArgName("noise_pct")
+    ->Arg(0)
+    ->Arg(10);
 
 void BM_NoiseGeneration(benchmark::State& state) {
   std::int64_t cell = 0;

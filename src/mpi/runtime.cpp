@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/log.h"
+#include "par/pool.h"
 
 namespace gs::mpi {
 
@@ -49,10 +50,19 @@ void run(int nranks, const std::function<void(Comm&)>& fn) {
     return;
   }
 
+  // With at least as many ranks as pool lanes, the ranks are the job's
+  // parallel axis: each rank thread is one lane, and its gs::par regions
+  // (kernel tiles, halo packing, BP compression) run inline on it rather
+  // than taking turns on the shared pool behind the other ranks' regions.
+  // Fixed tiling keeps every result bitwise identical either way.
+  const bool rank_lanes =
+      static_cast<std::size_t>(nranks) >= par::global_pool().lanes();
+
   std::mutex error_mutex;
   std::exception_ptr first_error;
 
   auto body = [&](int rank) {
+    if (rank_lanes) par::ThreadPool::run_inline_on_this_thread();
     try {
       Comm world = universe.world_comm(rank);
       fn(world);

@@ -42,7 +42,10 @@ class Universe {
 
 /// Runs `fn(world)` on `nranks` threads. Rethrows the first rank failure
 /// after all threads have stopped. The thread running rank 0 is the calling
-/// thread when `nranks == 1` (fast path used heavily by tests).
+/// thread when `nranks == 1` (fast path used heavily by tests). When
+/// `nranks > 1` and there are at least as many ranks as par::global_pool()
+/// lanes, every rank thread is one lane: its gs::par regions run inline on
+/// it (par::ThreadPool::run_inline_on_this_thread).
 void run(int nranks, const std::function<void(Comm&)>& fn);
 
 }  // namespace gs::mpi

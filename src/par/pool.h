@@ -15,10 +15,12 @@
 // Re-entrancy: run() called from inside a task (nested parallelism) or
 // from a pool of size 1 executes inline on the calling thread. So does
 // every run() from a thread that called run_inline_on_this_thread(): a
-// thread that is itself one lane of an outer parallel axis (a gs::svc
-// request worker) keeps its regions to itself instead of queueing on the
-// pool behind its siblings' regions. Any other concurrent run() calls
-// from independent threads are serialized, one region at a time.
+// thread that is itself one lane of an outer parallel axis keeps its
+// regions to itself instead of queueing on the pool behind its siblings'
+// regions. Two axes do that: gs::svc request workers, and the rank threads
+// of a gs::mpi::run with at least as many ranks as this pool has lanes.
+// Any other concurrent run() calls from independent threads are
+// serialized, one region at a time.
 #pragma once
 
 #include <atomic>
@@ -64,8 +66,9 @@ class ThreadPool {
   /// From now on, every region the calling thread opens runs inline on
   /// it, as a nested region does; in_region() stays true for the rest of
   /// the thread's life. Results are unchanged (fixed tiling). For threads
-  /// that are one lane of an outer parallel axis, where pool regions
-  /// would only queue behind each other.
+  /// that are one lane of an outer parallel axis (svc request workers,
+  /// mpi rank threads), where pool regions would only queue behind each
+  /// other.
   static void run_inline_on_this_thread();
 
  private:

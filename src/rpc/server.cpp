@@ -163,7 +163,9 @@ void Server::acceptor_main() {
   while (!stopping_.load()) {
     std::optional<Socket> sock;
     try {
-      sock = listener_.accept(/*timeout_ms=*/100);
+      // Sleeps until a peer connects, or a connection ends (reap it), or
+      // shutdown() signals.
+      if (accept_wake_.wait(listener_)) sock = listener_.accept(0);
     } catch (const IoError& e) {
       if (stopping_.load()) break;
       GS_WARN("rpc acceptor error: " << e.what());
@@ -406,6 +408,7 @@ void Server::conn_main(Conn& conn) {
   }
   close(conn);
   conn.done.store(true);
+  accept_wake_.signal();
 }
 
 void Server::close(Conn& conn) {
@@ -481,6 +484,7 @@ void Server::shutdown() {
   if (bridge_.joinable()) bridge_.join();
 
   stopping_.store(true);
+  accept_wake_.signal();
   if (acceptor_.joinable()) acceptor_.join();
   listener_.close();
 

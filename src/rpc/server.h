@@ -12,6 +12,7 @@
 // frames to the connection's outbox and signal its Wakeup; the owner
 // blocks in one poll() on both, so a reply leaves as soon as it is
 // posted, and a client that stops reading stalls only its connection.
+// The acceptor blocks the same way on the listener and its own Wakeup.
 //
 // Slow-consumer policy (documented contract): a subscribed connection
 // with zero credits DROPS steps rather than stalling the producer — the
@@ -246,6 +247,9 @@ class Server {
   std::chrono::steady_clock::time_point epoch_;  ///< profiler time base
 
   std::atomic<bool> stopping_{false};
+  /// Wakes the acceptor: shutdown() (to stop) and each connection that
+  /// ends (to be reaped).
+  Wakeup accept_wake_;
   std::thread acceptor_;
   std::thread bridge_;
 

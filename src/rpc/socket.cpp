@@ -281,9 +281,14 @@ void Wakeup::signal() {
 }
 
 bool Wakeup::wait(const Socket* readable) {
+  return wait_fd(readable ? readable->fd() : -1);
+}
+
+bool Wakeup::wait(const Listener& readable) { return wait_fd(readable.fd()); }
+
+bool Wakeup::wait_fd(int readable_fd) {
   // poll(2) skips an entry whose fd is negative.
-  std::array<pollfd, 2> fds{{{fd_, POLLIN, 0},
-                             {readable ? readable->fd() : -1, POLLIN, 0}}};
+  std::array<pollfd, 2> fds{{{fd_, POLLIN, 0}, {readable_fd, POLLIN, 0}}};
   while (::poll(fds.data(), fds.size(), -1) < 0) {
     if (errno != EINTR) {
       GS_THROW(IoError, "poll failed: " << std::strerror(errno));

@@ -79,6 +79,8 @@ class Socket {
   int fd_ = -1;
 };
 
+class Listener;
+
 /// An eventfd any thread signals to wake the one thread that owns a
 /// socket, without touching the socket itself.
 class Wakeup {
@@ -93,8 +95,12 @@ class Wakeup {
   /// Blocks, without a deadline, until signal() (which it consumes) or
   /// until `readable` (when non-null) is readable; true in the latter.
   bool wait(const Socket* readable);
+  /// The same for a listener: true when a connection is waiting.
+  bool wait(const Listener& readable);
 
  private:
+  bool wait_fd(int readable_fd);
+
   int fd_ = -1;
 };
 
@@ -122,6 +128,7 @@ class Listener {
   std::optional<Socket> accept(std::int64_t timeout_ms);
 
   bool valid() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
   void close();
 
  private:

@@ -5,39 +5,45 @@
 // loops that actually issue vector loads/stores. This header is the whole
 // portability layer: pack<W> wraps the GCC/Clang vector_size extension
 // (plain lane arrays elsewhere), pack<1> is the scalar specialization, and
-// kNativeWidth is selected at configure time (-DGS_SIMD=OFF builds with
-// width 1, the scalar-fallback gate CI compiles and tests).
+// kNativeWidth is selected at configure time: the register width of the
+// ISA tier CMake probes (GS_SIMD_ISA: 8 on AVX-512F, 4 on AVX2, 2 on the
+// SSE2/NEON baseline), or 1 with -DGS_SIMD=OFF, the scalar-fallback gate
+// CI compiles and tests.
 //
 // Identity contract: every pack operation is the elementwise IEEE-754
 // operation of its scalar counterpart — vectorizing a loop ACROSS cells
 // with pack arithmetic preserves each cell's exact expression tree, so
 // the W-wide and scalar paths produce bitwise-identical results. That is
 // the hard gate of the SIMD layer and is what keeps "serial == N-rank ==
-// vectorized" an exact, testable property of the whole stack.
+// vectorized" an exact, testable property of the whole stack. It relies
+// on the build never fusing a*b+c (-ffp-contract=off in every tier).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 
-#ifndef GS_SIMD_WIDTH
-#define GS_SIMD_WIDTH 8
-#endif
-
 namespace gs::simd {
-
-/// Lanes of the configure-time vector width (1 = scalar fallback).
-inline constexpr int kNativeWidth = GS_SIMD_WIDTH;
 
 /// Doubles per hardware vector register of the compile target. A pack
 /// wider than this is split by the compiler; loops that keep packs live
-/// across iterations (reductions) accumulate in packs of this width.
+/// across iterations (reductions) accumulate in packs of this width. The
+/// CMake build sets kNativeWidth to it; a W=8 instantiation on a 256-bit
+/// target (tests, benches) still gets register-wide accumulators.
 #if defined(__AVX512F__)
 inline constexpr int kRegisterWidth = 8;
 #elif defined(__AVX__)
 inline constexpr int kRegisterWidth = 4;
 #else
 inline constexpr int kRegisterWidth = 2;
+#endif
+
+/// Lanes of the configure-time vector width (1 = scalar fallback); outside
+/// the CMake build, the register width of the compile target.
+#ifdef GS_SIMD_WIDTH
+inline constexpr int kNativeWidth = GS_SIMD_WIDTH;
+#else
+inline constexpr int kNativeWidth = kRegisterWidth;
 #endif
 
 /// W doubles computed elementwise. Loads/stores are unaligned (memcpy —

@@ -11,6 +11,7 @@
 #include "mpi/comm.h"
 #include "mpi/datatype.h"
 #include "mpi/runtime.h"
+#include "par/pool.h"
 
 namespace {
 
@@ -138,6 +139,23 @@ TEST(Mpi, WorldSizeAndRanks) {
     ++visited;
   });
   EXPECT_EQ(visited.load(), 4);
+}
+
+TEST(Mpi, RankThreadsAreLanesWhenRanksCoverThePool) {
+  // With at least as many ranks as pool lanes, every rank's gs::par
+  // regions run inline on its own thread; with fewer, the ranks share the
+  // pool. The calling thread is a lane of neither.
+  const std::size_t lanes = gs::par::global_pool().lanes();
+  gs::par::set_global_lanes(4);
+  for (const int nranks : {4, 2}) {
+    std::atomic<int> inline_ranks{0};
+    gs::mpi::run(nranks, [&](Comm&) {
+      if (gs::par::ThreadPool::in_region()) ++inline_ranks;
+    });
+    EXPECT_EQ(inline_ranks.load(), nranks == 4 ? 4 : 0) << nranks << " ranks";
+    EXPECT_FALSE(gs::par::ThreadPool::in_region());
+  }
+  gs::par::set_global_lanes(lanes);
 }
 
 TEST(Mpi, PingPong) {

@@ -711,6 +711,17 @@ TEST(RpcServer, ShutdownWaitsForAHeldDoneAndDeliversItsReply) {
   EXPECT_EQ(server.stats().inflight, 0u);
 }
 
+TEST(RpcServer, ShutdownWithoutClientsDoesNotWaitOutAPollTick) {
+  ParkingHandler handler;
+  Server server(handler);
+  // Let the acceptor block in its wait before it is asked to stop.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(10));
+}
+
 TEST(RpcLatency, LoopbackRoundTripUnderDelayedAckFloor) {
   // A frame whose header and payload leave as separate small segments
   // waits for the peer's delayed ACK (40 ms minimum on Linux) before its
