@@ -4,10 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 
 #include "bp/reader.h"
-#include "common/checksum.h"
 #include "common/error.h"
 #include "core/workflow.h"
 #include "mpi/runtime.h"
@@ -82,11 +80,6 @@ svc::Request make_query(std::size_t q, std::int64_t n_steps, std::int64_t L,
   return request;
 }
 
-std::uint32_t identity_crc(const svc::Response& response) {
-  const auto bytes = rpc::encode_answer_identity(response);
-  return crc32(std::span<const std::byte>(bytes.data(), bytes.size()));
-}
-
 std::vector<std::string> dataset_block_keys(const std::string& path) {
   std::vector<std::string> keys;
   for (const svc::BlockId& id : svc::dataset_blocks(bp::Reader(path))) {
@@ -106,7 +99,7 @@ std::vector<std::uint32_t> ground_truth(svc::Service& service, std::size_t n,
                       response.status.message.c_str()));
       return {};
     }
-    expected[q] = identity_crc(response);
+    expected[q] = rpc::identity_crc(response);
   }
   gates.check("ground truth computed", true);
   return expected;
@@ -118,7 +111,7 @@ void PassResult::add(const svc::Response& response,
                      const std::vector<std::uint32_t>& expected,
                      std::size_t q, double seconds) {
   if (response.status.ok() && !response.degraded &&
-      identity_crc(response) == expected[q]) {
+      rpc::identity_crc(response) == expected[q]) {
     ++exact;
     latencies.add(seconds);
   } else if (response.degraded || !response.status.ok()) {

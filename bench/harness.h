@@ -62,9 +62,6 @@ svc::Request make_query(std::size_t q, std::int64_t n_steps, std::int64_t L,
 /// Query q of a bench's query space.
 using QueryFn = std::function<svc::Request(std::size_t q)>;
 
-/// CRC-32 of the answer's identity encoding (rpc::encode_answer_identity).
-std::uint32_t identity_crc(const svc::Response& response);
-
 /// Every block key of the dataset at `path`: the universe ring-movement
 /// bounds are computed over (svc::dataset_blocks, named by
 /// shard::Ring::block_key).

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "bp/stream.h"
+#include "common/checksum.h"
 #include "common/error.h"
 #include "rpc/socket.h"
 #include "svc/query.h"
@@ -167,6 +168,11 @@ svc::Response decode_response(std::span<const std::byte> payload);
 /// code, body) without ids or timings. Two responses answer a query
 /// identically iff their identity bytes match; the load bench CRCs this.
 std::vector<std::byte> encode_answer_identity(const svc::Response& response);
+/// CRC-32 of encode_answer_identity(response): the one number a served
+/// answer is checked against its ground truth by.
+inline std::uint32_t identity_crc(const svc::Response& response) {
+  return crc32(encode_answer_identity(response));
+}
 
 std::vector<std::byte> encode_stream_step(const bp::StreamStep& step);
 bp::StreamStep decode_stream_step(std::span<const std::byte> payload);

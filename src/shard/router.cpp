@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -55,6 +57,18 @@ svc::Request sub_request(const ShardMap& map, const svc::Request& base,
 bool is_final(const svc::Response& response) {
   return response.status.ok() ||
          response.status.code == svc::StatusCode::bad_request;
+}
+
+/// The field-stats partials' exact accumulators merged: bitwise the
+/// whole-dataset accumulator, in any shard order.
+ExactStats merge_exact(const std::vector<const svc::Response*>& parts) {
+  ExactStats acc;
+  for (const svc::Response* part : parts) {
+    GS_REQUIRE(part->partial->stats.has_value(),
+               "field-stats partial carries no exact accumulator");
+    acc.merge(*part->partial->stats);
+  }
+  return acc;
 }
 
 svc::Response refused(const svc::Request& request, svc::StatusCode code,
@@ -266,31 +280,6 @@ Router::ShardState& Router::state(EpochState& ep, const std::string& id) {
   return *it->second;
 }
 
-svc::Response Router::subcall(ShardState& st, const svc::Request& sub) {
-  fault::RetryPolicy policy;
-  policy.attempts = config_.attempts;
-  policy.backoff_seconds = config_.backoff_ms / 1000.0;
-  const std::vector<std::byte> payload = rpc::encode_request(sub);
-  svc::Response out;
-  // One transport attempt per pass: the channel's own retry loop would
-  // multiply RouterConfig::attempts by ClientConfig::retries.
-  fault::with_retries(policy, "shard.route:" + st.info.id, [&] {
-    fault::Injector::instance().check(kRouteSite);
-    rpc::Channel::Call call;
-    rpc::Frame reply;
-    try {
-      call = st.channel.start(rpc::FrameType::request, payload);
-      reply = st.channel.wait(call);
-    } catch (...) {
-      record_call(st, std::nullopt);
-      throw;
-    }
-    record_call(st, call.seconds);
-    out = rpc::decode_response(reply.payload);
-  });
-  return out;
-}
-
 void Router::record_call(ShardState& st, std::optional<double> seconds) {
   std::lock_guard<std::mutex> lock(st.mu);
   ++st.calls;
@@ -301,107 +290,117 @@ void Router::record_call(ShardState& st, std::optional<double> seconds) {
   }
 }
 
-Router::SubResult Router::scatter_one(EpochState& ep,
-                                      const svc::Request& base,
-                                      const svc::QueryBody& body,
-                                      const std::string& act_as) {
-  SubResult result;
-  result.act_as = act_as;
+Router::SubResult Router::ask(EpochState& ep,
+                              const std::vector<std::byte>& payload,
+                              const std::string& act_as,
+                              std::optional<Started> started) {
+  SubResult result{act_as, std::nullopt};
+  fault::RetryPolicy policy;
+  policy.attempts = config_.attempts;
+  policy.backoff_seconds = config_.backoff_ms / 1000.0;
 
-  const svc::Request sub = sub_request(*ep.map, base, body, act_as);
-
-  // Dead-marked daemons are skipped on the first pass (no point eating
-  // their connect timeouts); if health left us nothing, try everyone —
-  // health may be stale and a refused dial is cheap.
-  const std::vector<std::string> cands = candidates(ep, act_as);
-  std::vector<std::string> order;
-  for (const auto& id : cands) {
-    if (ep.health->alive(id)) order.push_back(id);
-  }
-  if (order.empty()) order = cands;
-
-  for (const auto& id : order) {
+  // One candidate: RouterConfig::attempts transport attempts in total
+  // (the channel's own retry loop would multiply them by
+  // ClientConfig::retries), the first of them `first` when scatter began
+  // it. True when the candidate gave the shard's final answer.
+  const auto try_candidate = [&](const std::string& id,
+                                 std::optional<Started> first) {
     {
       std::lock_guard<std::mutex> slock(stats_mu_);
       ++stats_.subqueries;
     }
-    svc::Response sub_response;
+    ShardState& st = state(ep, id);
+    svc::Response response;
     try {
-      sub_response = subcall(state(ep, id), sub);
+      fault::with_retries(policy, "shard.route:" + id, [&] {
+        rpc::Channel::Call call;
+        rpc::Frame reply;
+        try {
+          if (first.has_value()) {
+            Started begun = std::move(*first);
+            first.reset();
+            if (begun.failed) std::rethrow_exception(begun.failed);
+            call = std::move(begun.call);
+          } else {
+            fault::Injector::instance().check(kRouteSite);
+            call = st.channel.start(rpc::FrameType::request, payload);
+          }
+          reply = st.channel.wait(call);
+        } catch (...) {
+          record_call(st, std::nullopt);
+          throw;
+        }
+        record_call(st, call.seconds);
+        response = rpc::decode_response(reply.payload);
+      });
     } catch (const IoError&) {
       ep.health->record_failure(id);
       std::lock_guard<std::mutex> slock(stats_mu_);
       ++stats_.subquery_errors;
-      continue;
+      return false;
     }
     ep.health->record_success(id);
-    if (!is_final(sub_response)) continue;
+    if (!is_final(response)) return false;
     if (id != act_as) {
       std::lock_guard<std::mutex> slock(stats_mu_);
       ++stats_.failovers;
     }
-    result.response = std::move(sub_response);
-    return result;
+    result.response = std::move(response);
+    return true;
+  };
+
+  const bool owner_asked = started.has_value();
+  if (owner_asked && try_candidate(act_as, std::move(started))) return result;
+
+  // No final answer from the owner, or health had it dead: its failover
+  // chain. Dead-marked daemons are skipped (no point eating their connect
+  // timeouts); if health leaves nothing, everyone is tried — health may
+  // be stale and a refused dial is cheap. The owner is asked once.
+  const std::vector<std::string> chain = candidates(ep, act_as);
+  std::vector<std::string> order;
+  std::copy_if(chain.begin(), chain.end(), std::back_inserter(order),
+               [&ep](const std::string& id) { return ep.health->alive(id); });
+  if (order.empty()) order = chain;
+  for (const auto& id : order) {
+    if (owner_asked && id == act_as) continue;
+    if (try_candidate(id, std::nullopt)) break;
   }
-  return result;  // missing: nobody answered for act_as
+  return result;  // response empty: nobody answered for act_as
 }
 
 std::vector<Router::SubResult> Router::scatter(EpochState& ep,
                                                const svc::Request& base,
                                                const svc::QueryBody& body) {
   const auto& shards = ep.map->shards();
-  // Every live owner's sub-query goes out before any reply is awaited,
-  // so they are all in flight at once on their shards' channels.
-  std::vector<std::optional<rpc::Channel::Call>> calls(shards.size());
+  // Every live owner's first attempt starts before any reply is awaited,
+  // so the sub-queries are all in flight at once on their shards'
+  // channels.
+  std::vector<std::vector<std::byte>> payloads;
+  payloads.reserve(shards.size());
+  std::vector<std::optional<Started>> started(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const std::string& id = shards[i].id;
+    payloads.push_back(
+        rpc::encode_request(sub_request(*ep.map, base, body, id)));
     if (!ep.health->alive(id)) continue;
+    Started& begun = started[i].emplace();
     try {
       fault::Injector::instance().check(kRouteSite);
-      calls[i] = state(ep, id).channel.start(
-          rpc::FrameType::request,
-          rpc::encode_request(sub_request(*ep.map, base, body, id)));
+      begun.call =
+          state(ep, id).channel.start(rpc::FrameType::request, payloads[i]);
     } catch (const IoError&) {
-      // Unreachable now: scatter_one below takes the shard.
+      begun.failed = std::current_exception();
     }
   }
+  // Gathered in map order. A failing owner's chain runs here, on this
+  // worker: when several shards fail in one query, they fail over in turn.
   std::vector<SubResult> results;
   results.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    const std::string& id = shards[i].id;
-    if (calls[i].has_value()) {
-      if (auto answer = finish(ep, id, *calls[i])) {
-        results.push_back(SubResult{id, std::move(answer)});
-        continue;
-      }
-    }
-    // Failover runs here, on this worker: when several shards fail in
-    // one query, their failover chains run one after the other.
-    results.push_back(scatter_one(ep, base, body, id));
+    results.push_back(
+        ask(ep, payloads[i], shards[i].id, std::move(started[i])));
   }
   return results;
-}
-
-std::optional<svc::Response> Router::finish(EpochState& ep,
-                                            const std::string& id,
-                                            rpc::Channel::Call& call) {
-  ShardState& st = state(ep, id);
-  rpc::Frame reply;
-  try {
-    reply = st.channel.wait(call);
-  } catch (const IoError&) {
-    record_call(st, std::nullopt);
-    return std::nullopt;
-  }
-  record_call(st, call.seconds);
-  svc::Response response = rpc::decode_response(reply.payload);
-  if (!is_final(response)) return std::nullopt;
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.subqueries;
-  }
-  ep.health->record_success(id);
-  return response;
 }
 
 // ---- merge ---------------------------------------------------------------
@@ -473,41 +472,6 @@ std::vector<const svc::Response*> Router::check_partials(
   return parts;
 }
 
-svc::Response Router::merge_list_variables(EpochState& ep,
-                                           const svc::Request& request) {
-  svc::Response response;
-  response.id = request.id;
-  response.verb = svc::Verb::list_variables;
-
-  const auto results = scatter(ep, request, request.body);
-  std::vector<svc::ListVariablesR> listings;
-  std::vector<std::string> missing;
-  for (const auto& r : results) {
-    if (!r.response.has_value()) {
-      missing.push_back(r.act_as);
-      continue;
-    }
-    if (!r.response->status.ok()) {
-      response.status = r.response->status;
-      response.status.message =
-          "shard " + r.act_as + ": " + response.status.message;
-      return response;
-    }
-    listings.push_back(std::get<svc::ListVariablesR>(r.response->body));
-  }
-  if (listings.empty()) {
-    response.status =
-        svc::Status{svc::StatusCode::internal_error,
-                    "no shard reachable: missing shard(s) " +
-                        join_ids(missing)};
-    return response;
-  }
-  // Any one listing is already exact (every daemon opens the whole
-  // dataset); gathering from all reachable shards verifies agreement.
-  response.body = svc::merge::merge_list_variables(listings);
-  return response;
-}
-
 svc::Response Router::merge_scattered(EpochState& ep,
                                       const svc::Request& request) {
   svc::Response response;
@@ -530,12 +494,7 @@ svc::Response Router::merge_scattered(EpochState& ep,
       response.status = stats_probe.status;
       return response;
     }
-    ExactStats acc;
-    for (const svc::Response* part : stats_parts) {
-      GS_REQUIRE(part->partial->stats.has_value(),
-                 "field-stats partial carries no exact accumulator");
-      acc.merge(*part->partial->stats);
-    }
+    const ExactStats acc = merge_exact(stats_parts);
     const auto [lo, hi] = analysis::histogram_range(acc.min(), acc.max());
     svc::HistogramQ ranged = *q;
     ranged.has_range = true;
@@ -559,15 +518,20 @@ svc::Response Router::merge_scattered(EpochState& ep,
   if (!response.status.ok()) return response;
 
   switch (response.verb) {
-    case svc::Verb::field_stats: {
-      ExactStats acc;
+    case svc::Verb::list_variables: {
+      // Any one listing is already exact (every daemon opens the whole
+      // dataset); gathering from all reachable shards verifies agreement.
+      std::vector<svc::ListVariablesR> listings;
+      listings.reserve(parts.size());
       for (const svc::Response* part : parts) {
-        GS_REQUIRE(part->partial->stats.has_value(),
-                   "field-stats partial carries no exact accumulator");
-        acc.merge(*part->partial->stats);
+        listings.push_back(std::get<svc::ListVariablesR>(part->body));
       }
+      response.body = svc::merge::merge_list_variables(listings);
+      break;
+    }
+    case svc::Verb::field_stats: {
       response.body =
-          svc::FieldStatsR{analysis::stats_from_exact(acc)};
+          svc::FieldStatsR{analysis::stats_from_exact(merge_exact(parts))};
       break;
     }
     case svc::Verb::histogram: {
@@ -630,9 +594,6 @@ svc::Response Router::route(const svc::Request& request) {
   // the reload's drain waits for the pin to drop.
   const Pin pin(this, snapshot());
   try {
-    if (std::holds_alternative<svc::ListVariablesQ>(request.body)) {
-      return merge_list_variables(*pin.ep, request);
-    }
     return merge_scattered(*pin.ep, request);
   } catch (const Error& e) {
     svc::Response response;

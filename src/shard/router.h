@@ -18,13 +18,19 @@
 //     hysteresis, fed by query traffic and by a background probe thread
 //     that pings every shard each probe interval (fault site
 //     "shard.health");
-//   * a sub-query to a dead or failing shard retries through a
-//     deterministic failover chain of replicas (every shard opens the
-//     same dataset directory, so any daemon can act_as a dead owner and
-//     answer bit-exactly); transient transport errors inside one
-//     candidate are absorbed by fault::with_retries (fault site
-//     "shard.route" fires before each send). Failover runs on the
-//     routing worker, so shards failing in one query fail over in turn;
+//   * every sub-query takes one path, Router::ask: the shard's owner
+//     first, then — only when the owner gives no final answer — a
+//     deterministic ring-derived failover chain of replicas (every shard
+//     opens the same dataset directory, so any daemon can act_as a dead
+//     owner and answer bit-exactly). Each candidate is asked once, with
+//     RouterConfig::attempts transport attempts in total
+//     (fault::with_retries; fault site "shard.route" fires before each
+//     send); a live owner's first attempt is the call scatter put in
+//     flight. A transport failure after every attempt, or a retryable
+//     refusal (any status but ok and bad_request: server_busy,
+//     stale_epoch, ...), moves on to the next candidate. Failover runs
+//     on the routing worker, so shards failing in one query fail over in
+//     turn;
 //   * when no candidate answers for a shard, the router degrades
 //     explicitly: the merged answer covers the blocks it has,
 //     Response::degraded is set, bad_blocks counts the missing blocks,
@@ -51,6 +57,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -108,9 +115,13 @@ struct RouterStats {
   std::uint64_t rejected_shutdown = 0;
   std::uint64_t failed = 0;            ///< answered with a non-ok status
   std::uint64_t degraded_answers = 0;  ///< ok answers with missing blocks
-  std::uint64_t subqueries = 0;        ///< shard sub-calls attempted
-  std::uint64_t subquery_errors = 0;   ///< sub-calls lost to transport errors
-  std::uint64_t failovers = 0;         ///< sub-answers served by a replica
+  /// Candidates asked: +1 per daemon a shard's sub-query went to, owner
+  /// and replicas alike (a healthy query books one per shard).
+  std::uint64_t subqueries = 0;
+  /// Candidates whose transport attempts all failed.
+  std::uint64_t subquery_errors = 0;
+  /// Shards whose final answer came from a daemon other than the owner.
+  std::uint64_t failovers = 0;
 };
 
 class Router : public rpc::Handler {
@@ -218,25 +229,29 @@ class Router : public rpc::Handler {
 
   svc::Response route(const svc::Request& request);
   /// Scatters `body` (with a ShardSelector per shard) to every shard of
-  /// the pinned epoch, all live owners at once, gathering in map order;
-  /// a shard whose owner gave no final answer goes through scatter_one.
+  /// the pinned epoch: it starts every live owner's call before awaiting
+  /// any reply, then gathers in map order, handing each shard's started
+  /// call to ask().
   std::vector<SubResult> scatter(EpochState& ep, const svc::Request& base,
                                  const svc::QueryBody& body);
-  /// The owner's reply to a scattered sub-query when it is final for the
-  /// shard; nullopt hands the shard to scatter_one.
-  std::optional<svc::Response> finish(EpochState& ep, const std::string& id,
-                                      rpc::Channel::Call& call);
-  /// One shard's sub-query through its failover candidates.
-  SubResult scatter_one(EpochState& ep, const svc::Request& base,
-                        const svc::QueryBody& body,
-                        const std::string& act_as);
+
+  /// The owner's first transport attempt as scatter began it: the call
+  /// in flight, or the IoError its start threw.
+  struct Started {
+    rpc::Channel::Call call;
+    std::exception_ptr failed;
+  };
+  /// One shard's sub-query (`payload`, encoded once): its owner `act_as`,
+  /// whose first attempt is `started` when scatter began one, then — if
+  /// the owner gives no final answer — the other candidates(). The one
+  /// place that books subqueries, subquery_errors, failovers, health
+  /// and record_call.
+  SubResult ask(EpochState& ep, const std::vector<std::byte>& payload,
+                const std::string& act_as, std::optional<Started> started);
   /// act_as first, then (with failover) every other shard in a
   /// deterministic ring-derived order.
   std::vector<std::string> candidates(const EpochState& ep,
                                       const std::string& act_as) const;
-  /// One call on one daemon's channel; throws IoError on transport
-  /// failure after RouterConfig::attempts start() + wait() attempts.
-  svc::Response subcall(ShardState& state, const svc::Request& sub);
   /// Books one transport attempt on a shard: its round-trip seconds, or
   /// an error when `seconds` is empty.
   static void record_call(ShardState& state, std::optional<double> seconds);
@@ -244,8 +259,6 @@ class Router : public rpc::Handler {
   // Verb merges (each throws gs::Error -> internal_error on
   // disagreement between shards).
   svc::Response merge_scattered(EpochState& ep, const svc::Request& request);
-  svc::Response merge_list_variables(EpochState& ep,
-                                     const svc::Request& request);
   /// Validates partial metadata across parts (equal totals, no coverage
   /// overlap), fills response.degraded/bad_blocks/status.message, and
   /// returns the parts with ok responses. Throws on inconsistency.

@@ -2,11 +2,14 @@
 // request streams must stay byte-identical to the per-bench copies they
 // replaced (pinned CRCs), answers must classify by the one strict rule,
 // relaxable gates must relax only under GS_BENCH_NONFATAL while fatal
-// gates never do, and a ScratchDir must vanish on every exit path.
+// gates never do, a ScratchDir must vanish on every exit path, and the
+// bench dataset's BP index must carry the exact min/max of every field.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 
+#include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -14,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analysis.h"
 #include "bench/harness.h"
+#include "bp/reader.h"
 #include "common/checksum.h"
 #include "rpc/wire.h"
 
@@ -56,7 +61,7 @@ gs::svc::Response answer(double mean) {
 
 /// Ground truth of a one-query space whose right answer is answer(1.0).
 std::vector<std::uint32_t> truth() {
-  return {bench::identity_crc(answer(1.0))};
+  return {gs::rpc::identity_crc(answer(1.0))};
 }
 
 TEST(BenchHarness, PassResultExactNeedsOkUndegradedAndMatchingCrc) {
@@ -73,7 +78,7 @@ TEST(BenchHarness, PassResultDegradedIsNeverExactEvenWithAMatchingCrc) {
   auto flagged = answer(1.0);
   flagged.degraded = true;
   flagged.status.message = "shard s1 unavailable";
-  ASSERT_EQ(bench::identity_crc(flagged), expected[0]);
+  ASSERT_EQ(gs::rpc::identity_crc(flagged), expected[0]);
   r.add(flagged, expected, 0);
   auto refused = answer(1.0);
   refused.status.code = gs::svc::StatusCode::server_busy;
@@ -182,6 +187,44 @@ TEST(BenchHarness, DatasetBlockKeysSkipScalarVariables) {
   const auto keys = bench::dataset_block_keys(ds.path);
   EXPECT_EQ(keys.size(), 2u * 5u * 8u);
   EXPECT_EQ(keys.front(), gs::shard::Ring::block_key("U", 0, 0));
+}
+
+// A one-round histogram may take its global range from the BP index
+// alone only if the index's per-block min/max, folded over a step's
+// blocks, is bitwise the ExactStats min/max of the whole field (so ±0
+// counts), raw and Gorilla-compressed alike.
+TEST(BenchHarness, IndexMinMaxIsTheExactStatsMinMax) {
+  const bench::ScratchDir dir("harness_test");
+  for (const bool compress : {false, true}) {
+    const bench::Dataset ds = bench::make_dataset(
+        dir.file(compress ? "gorilla.bp" : "raw.bp"), compress);
+    const gs::bp::Reader reader(ds.path);
+    std::size_t compared = 0;
+    for (const std::string& var : reader.variable_names()) {
+      if (reader.info(var).type != "double") continue;
+      for (std::int64_t step = 0; step < reader.n_steps(); ++step) {
+        const auto blocks = reader.blocks(var, step);
+        ASSERT_FALSE(blocks.empty());
+        ASSERT_EQ(blocks.front().codec, compress ? "gorilla" : "");
+        double lo = blocks.front().min;
+        double hi = blocks.front().max;
+        for (const auto& b : blocks) {
+          lo = std::min(lo, b.min);
+          hi = std::max(hi, b.max);
+        }
+        const gs::ExactStats exact =
+            gs::analysis::exact_stats(reader.read_full(var, step));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(lo),
+                  std::bit_cast<std::uint64_t>(exact.min()))
+            << var << " step " << step << (compress ? " gorilla" : " raw");
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(hi),
+                  std::bit_cast<std::uint64_t>(exact.max()))
+            << var << " step " << step << (compress ? " gorilla" : " raw");
+        ++compared;
+      }
+    }
+    EXPECT_EQ(compared, 2u * 5u);  // U and V at 5 output steps
+  }
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 
 #include "bp/stream.h"
 #include "bp/writer.h"
-#include "common/checksum.h"
 #include "fault/fault.h"
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
@@ -1018,10 +1017,6 @@ TEST(RpcWire, TenantTagRoundTripsAndVersionOneFramesStillDecode) {
 }
 
 // ---- multiplexed channel --------------------------------------------------
-
-std::uint32_t identity_crc(const svc::Response& response) {
-  return gs::crc32(encode_answer_identity(response));
-}
 
 TEST(RpcChannel, ConcurrentCallersShareOneConnectionAndAnswerExactly) {
   gs::svc::Service service(dataset());

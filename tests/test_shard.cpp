@@ -815,9 +815,68 @@ TEST(ShardRouter, SubcallAttemptsAreTheWholeTransportCount) {
   }
   stop.store(true);
   acceptor.join();
-  // Scatter's one attempt, then subcall's RouterConfig::attempts; the
-  // channel's ClientConfig::retries must not multiply them.
-  EXPECT_EQ(accepts.load(), 1 + 2);
+  // RouterConfig::attempts in total, scatter's started call the first of
+  // them; the channel's ClientConfig::retries must not multiply them.
+  EXPECT_EQ(accepts.load(), 2);
+}
+
+/// A daemon that refuses every request with a retryable server_busy and
+/// counts the requests it gets.
+class BusyHandler : public rpc::Handler {
+ public:
+  void submit(svc::Request request, Done done) override {
+    ++requests;
+    svc::Response r;
+    r.id = request.id;
+    r.verb = svc::verb_of(request.body);
+    r.status = svc::Status{svc::StatusCode::server_busy, "always busy"};
+    done(std::move(r));
+  }
+  gs::json::Value stats_json() const override {
+    gs::json::Object obj;
+    obj["dataset"] = gs::json::Value(std::string("none"));
+    return gs::json::Value(std::move(obj));
+  }
+
+  std::atomic<int> requests{0};
+};
+
+TEST(ShardRouter, RetryableRefusalAsksTheOwnerOnceThenFailsOver) {
+  const std::string busy_sock = "unix:" + temp_path("busy-s0") + ".sock";
+  const std::string live_sock = "unix:" + temp_path("busy-s1") + ".sock";
+  const auto map = std::make_shared<const shard::ShardMap>(
+      1, 64,
+      std::vector<shard::ShardInfo>{shard::ShardInfo{"s0", busy_sock},
+                                    shard::ShardInfo{"s1", live_sock}});
+  BusyHandler busy;
+  rpc::ServerConfig busy_config;
+  busy_config.listen = busy_sock;
+  rpc::Server busy_server(busy, busy_config);
+  svc::ServiceConfig service_config;
+  service_config.shard_map = map;
+  svc::Service service(dataset(), std::move(service_config));
+  rpc::ServerConfig live_config;
+  live_config.listen = live_sock;
+  rpc::Server live_server(service, live_config);
+
+  shard::RouterConfig config;
+  config.probe_interval_ms = 0;
+  shard::Router router(map, config);
+  svc::Request request;
+  request.body = svc::FieldStatsQ{"U", 1};
+  const svc::Response r = router.call(std::move(request));
+  ASSERT_TRUE(r.status.ok()) << r.status.message;
+  EXPECT_FALSE(r.degraded);
+
+  // A refusal is an answer, not a transport failure: the owner is asked
+  // once, and its blocks come from s1 acting as s0.
+  EXPECT_EQ(busy.requests.load(), 1);
+  EXPECT_EQ(router.stats().failovers, 1u);
+  svc::Service single(dataset(), svc::ServiceConfig{});
+  svc::Request direct;
+  direct.body = svc::FieldStatsQ{"U", 1};
+  EXPECT_EQ(rpc::encode_answer_identity(r),
+            rpc::encode_answer_identity(single.call(std::move(direct))));
 }
 
 TEST(ShardRouter, BadRequestPropagatesNamingTheShard) {
