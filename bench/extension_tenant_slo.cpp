@@ -313,13 +313,13 @@ void phase_serving(Gates& gates) {
                 who.c_str(), (unsigned long long)it->second.ok,
                 (unsigned long long)it->second.errors,
                 (unsigned long long)it->second.slo_violations,
-                1e3 * it->second.latency_p50, 1e3 * it->second.latency_p95,
-                1e3 * it->second.latency_p99);
-    gates.metric("p99_ms_" + who, 1e3 * it->second.latency_p99, 2);
-    if (it->second.latency_p99 > kSlo) {
+                1e3 * it->second.latency.p50, 1e3 * it->second.latency.p95,
+                1e3 * it->second.latency.p99);
+    gates.metric("p99_ms_" + who, 1e3 * it->second.latency.p99, 2);
+    if (it->second.latency.p99 > kSlo) {
       p99_ok = false;
       p99_detail = who + " p99 " +
-                   std::to_string(1e3 * it->second.latency_p99) + "ms > " +
+                   std::to_string(1e3 * it->second.latency.p99) + "ms > " +
                    std::to_string(1e3 * kSlo) + "ms";
     }
   }

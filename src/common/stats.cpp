@@ -400,15 +400,6 @@ void DecayedRate::reset() {
   started_ = false;
 }
 
-const std::vector<double>& Samples::sorted() const {
-  if (!sorted_valid_) {
-    sorted_ = values_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-  return sorted_;
-}
-
 double Samples::mean() const {
   if (values_.empty()) return 0.0;
   double s = 0.0;
@@ -426,30 +417,91 @@ double Samples::stddev() const {
 
 double Samples::min() const {
   GS_REQUIRE(!values_.empty(), "min() of empty sample set");
-  return sorted().front();
+  return *std::min_element(values_.begin(), values_.end());
 }
 
 double Samples::max() const {
   GS_REQUIRE(!values_.empty(), "max() of empty sample set");
-  return sorted().back();
+  return *std::max_element(values_.begin(), values_.end());
 }
+
+namespace {
+
+/// The percentile rule Samples and LatencyHistogram share: linear
+/// interpolation between the order statistics around rank p/100*(n-1),
+/// where `at(i)` is the i-th smallest of the n values; 0 when n is 0.
+template <class At>
+double interpolate_percentile(double p, std::uint64_t n, At at) {
+  GS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile " << p << " out of [0,100]");
+  if (n <= 1) return n ? at(0) : 0.0;
+  const double pos = p / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const std::uint64_t hi = std::min(lo + 1, n - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return at(lo) * (1.0 - frac) + at(hi) * frac;
+}
+
+}  // namespace
 
 double Samples::percentile(double p) const {
   GS_REQUIRE(!values_.empty(), "percentile() of empty sample set");
-  GS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile " << p << " out of [0,100]");
-  const auto& s = sorted();
-  if (s.size() == 1) return s.front();
-  const double pos = p / 100.0 * static_cast<double>(s.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, s.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return s[lo] * (1.0 - frac) + s[hi] * frac;
+  std::vector<double> s = values_;
+  std::sort(s.begin(), s.end());
+  return interpolate_percentile(p, s.size(),
+                                [&s](std::uint64_t i) { return s[i]; });
 }
 
 double Samples::spread_percent() const {
   const double m = mean();
   if (m == 0.0) return 0.0;
   return (max() - min()) / m * 100.0;
+}
+
+std::size_t LatencyHistogram::bucket_of(double seconds) {
+  static_assert(std::has_single_bit(unsigned{kSubBuckets}));
+  constexpr int kShift = 52 - std::countr_zero(unsigned{kSubBuckets});
+  constexpr std::uint64_t kLoBits = std::uint64_t{1023 + kMinExp} << 52;
+  constexpr std::uint64_t kHiBits = std::uint64_t{1023 + kMaxExp} << 52;
+  if (!(seconds > 0.0)) return 0;  // 0, negatives, NaN
+  // Positive doubles order like their bit patterns: the biased exponent
+  // picks the octave, the top mantissa bits the bucket within it.
+  const auto bits = std::bit_cast<std::uint64_t>(seconds);
+  if (bits < kLoBits) return 0;
+  if (bits >= kHiBits) return kBuckets - 1;
+  return 1 + static_cast<std::size_t>((bits - kLoBits) >> kShift);
+}
+
+void LatencyHistogram::add(double seconds) {
+  ++counts_[bucket_of(seconds)];
+  min_ = n_ ? std::min(min_, seconds) : seconds;
+  max_ = n_ ? std::max(max_, seconds) : seconds;
+  ++n_;
+  sum_ += seconds;
+}
+
+double LatencyHistogram::percentile(double p) const {
+  // The value at a rank: exact at the two end ranks, else its bucket's
+  // midpoint clamped to [min, max].
+  const auto at = [this](std::uint64_t rank) {
+    if (rank == 0) return min_;
+    if (rank + 1 >= n_) return max_;
+    std::size_t b = 0;
+    for (std::uint64_t seen = counts_[0]; seen <= rank; seen += counts_[b]) {
+      ++b;
+    }
+    if (b == 0 || b == kBuckets - 1) return b == 0 ? min_ : max_;
+    const std::size_t i = b - 1;
+    const double mid = std::ldexp(
+        1.0 + (static_cast<double>(i % kSubBuckets) + 0.5) / kSubBuckets,
+        kMinExp + static_cast<int>(i / kSubBuckets));
+    return std::clamp(mid, min_, max_);
+  };
+  return interpolate_percentile(p, n_, at);
+}
+
+LatencySummary LatencyHistogram::summary() const {
+  return LatencySummary{n_, mean(), percentile(50.0), percentile(95.0),
+                        percentile(99.0)};
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -4,7 +4,7 @@
 // per-GPU bandwidths) — plus the exact accumulators (ExactSum/ExactStats)
 // that make field statistics partition-independent, the invariant the
 // gs::shard scatter-gather tier's "byte-identical sharded answers" gate
-// rests on.
+// rests on, and the fixed-size latency histogram every daemon keeps.
 #pragma once
 
 #include <array>
@@ -190,7 +190,9 @@ class DecayedRate {
   bool started_ = false;
 };
 
-/// Sample container with percentile queries (keeps all values).
+/// Sample container with percentile queries (keeps all values; each
+/// percentile() sorts a copy, so it suits benches and simulators, not a
+/// long-running daemon — those keep a LatencyHistogram).
 class Samples {
  public:
   void add(double x) { values_.push_back(x); }
@@ -214,10 +216,58 @@ class Samples {
 
  private:
   std::vector<double> values_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+};
 
-  const std::vector<double>& sorted() const;
+/// A latency distribution as the daemons report it: lifetime count, mean
+/// and p50/p95/p99, in seconds. All zero when nothing was recorded.
+struct LatencySummary {
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
+
+/// Fixed-size log-bucketed latency histogram (seconds), the serving
+/// tier's one latency container: kSubBuckets equal buckets per power of
+/// two in [2^kMinExp, 2^kMaxExp) (about 60 ns to 4096 s), plus an end
+/// bucket below (0, subnormals, negatives) and one above. Memory never
+/// grows and a percentile is one O(buckets) scan. Count, min, max and
+/// the in-order sum (so mean() is bit-equal to Samples::mean) are exact;
+/// percentile() interpolates Samples::percentile's order statistics,
+/// each stood in by its bucket's midpoint clamped to [min, max]: within
+/// 1/(2 * kSubBuckets) relative inside the bucketed range. Not
+/// thread-safe (callers hold their stats lock).
+class LatencyHistogram {
+ public:
+  static constexpr int kSubBuckets = 64;
+  static constexpr int kMinExp = -24;
+  static constexpr int kMaxExp = 12;
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets + 2;
+
+  void add(double seconds);
+
+  std::uint64_t count() const { return n_; }
+  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
+  double min() const { return n_ ? min_ : 0.0; }
+  double max() const { return n_ ? max_ : 0.0; }
+  /// p in [0, 100]; 0 when empty.
+  double percentile(double p) const;
+  LatencySummary summary() const;
+
+  /// The bucket `seconds` counts in (0 and kBuckets - 1 are the ends).
+  static std::size_t bucket_of(double seconds);
+  const std::array<std::uint64_t, kBuckets>& buckets() const {
+    return counts_;
+  }
+
+ private:
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t n_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Fixed-width-bin histogram over [lo, hi); out-of-range values clamp into

@@ -37,7 +37,9 @@ struct StatsSample {
   double queue_depth = 0.0;
   double inflight = 0.0;
   double rate_rps = 0.0;
-  double p99 = 0.0;             ///< server-side latency p99, seconds
+  /// Server-side latency p99 over the daemon's lifetime, seconds; a
+  /// LatencyHistogram quantile, within 1% of exact.
+  double p99 = 0.0;
   std::uint64_t requests = 0;   ///< cumulative
   std::uint64_t errors = 0;     ///< cumulative transport-level failures
   // Last handover's warming cost as reported by the daemon ("reshard"):

@@ -70,12 +70,16 @@ json::Value ServerStats::to_json() const {
   obj["queue_depth"] = json::Value(static_cast<std::int64_t>(queue_depth));
   obj["inflight"] = json::Value(static_cast<std::int64_t>(inflight));
   obj["rate_rps"] = json::Value(rate_rps);
-  obj["latency_count"] =
-      json::Value(static_cast<std::int64_t>(latency_count));
-  obj["latency_p50"] = json::Value(latency_p50);
-  obj["latency_p95"] = json::Value(latency_p95);
-  obj["latency_p99"] = json::Value(latency_p99);
+  put_latency(obj, latency);
   return json::Value(std::move(obj));
+}
+
+void put_latency(json::Object& obj, const LatencySummary& latency) {
+  obj["latency_count"] =
+      json::Value(static_cast<std::int64_t>(latency.count));
+  obj["latency_p50"] = json::Value(latency.p50);
+  obj["latency_p95"] = json::Value(latency.p95);
+  obj["latency_p99"] = json::Value(latency.p99);
 }
 
 std::string ServerStats::report() const {
@@ -85,8 +89,8 @@ std::string ServerStats::report() const {
      << "  frames: " << frames_in << " in / " << frames_out << " out ("
      << bytes_in << " / " << bytes_out << " bytes)\n"
      << "  requests: " << requests << " in, " << responses
-     << " answered; p50/p95/p99 = " << latency_p50 << " / " << latency_p95
-     << " / " << latency_p99 << " s over " << latency_count << "\n"
+     << " answered; p50/p95/p99 = " << latency.p50 << " / " << latency.p95
+     << " / " << latency.p99 << " s over " << latency.count << "\n"
      << "  load: " << queue_depth << " queued, " << inflight
      << " in flight, " << rate_rps << " req/s (decayed)\n"
      << "  faults: " << bad_frames << " bad frames, " << crc_errors
@@ -509,12 +513,7 @@ ServerStats Server::stats() const {
   out.queue_depth = queued;
   out.inflight = inflight_.load();
   out.rate_rps = rate_.rate(now);
-  out.latency_count = latencies_.count();
-  if (!latencies_.empty()) {
-    out.latency_p50 = latencies_.percentile(50.0);
-    out.latency_p95 = latencies_.percentile(95.0);
-    out.latency_p99 = latencies_.percentile(99.0);
-  }
+  out.latency = latencies_.summary();
   return out;
 }
 

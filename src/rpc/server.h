@@ -97,14 +97,16 @@ struct ServerStats {
   std::uint64_t inflight = 0;     ///< requests admitted, response not sent
   double rate_rps = 0.0;          ///< decayed requests/sec (DecayedRate)
   /// Server-side request latency (decode -> response frame on the wire).
-  std::size_t latency_count = 0;
-  double latency_p50 = 0.0;
-  double latency_p95 = 0.0;
-  double latency_p99 = 0.0;
+  LatencySummary latency;
 
   json::Value to_json() const;
   std::string report() const;  ///< human-readable table
 };
+
+/// Writes `latency` as the flat latency_count/latency_p50/latency_p95/
+/// latency_p99 keys (seconds) of the rpc stats and of gsrouter's
+/// per-shard entries.
+void put_latency(json::Object& obj, const LatencySummary& latency);
 
 /// What a Server serves: anything that answers svc Requests through a
 /// callback and describes itself for the stats RPC. gs::svc::Service is
@@ -262,7 +264,7 @@ class Server {
   // Counters (stats_mu_ guards the non-atomic aggregates).
   mutable std::mutex stats_mu_;
   ServerStats counters_;
-  Samples latencies_;
+  LatencyHistogram latencies_;
   /// Requests admitted (decoded + submitted) whose response frame has
   /// not been sent yet, across all connections. Atomic: changed on each
   /// connection's owner thread, read by stats().

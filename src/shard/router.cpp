@@ -752,14 +752,7 @@ json::Value Router::stats_json() const {
       std::lock_guard<std::mutex> lock(st->mu);
       s["calls"] = json::Value(static_cast<std::int64_t>(st->calls));
       s["errors"] = json::Value(static_cast<std::int64_t>(st->errors));
-      s["latency_count"] =
-          json::Value(static_cast<std::int64_t>(st->latencies.count()));
-      s["latency_p50"] = json::Value(
-          st->latencies.empty() ? 0.0 : st->latencies.percentile(50.0));
-      s["latency_p95"] = json::Value(
-          st->latencies.empty() ? 0.0 : st->latencies.percentile(95.0));
-      s["latency_p99"] = json::Value(
-          st->latencies.empty() ? 0.0 : st->latencies.percentile(99.0));
+      rpc::put_latency(s, st->latencies.summary());
     }
     const auto channel = st->channel.stats();
     s["connects"] = json::Value(static_cast<std::int64_t>(channel.connects));

@@ -175,7 +175,7 @@ class Router : public rpc::Handler {
     ShardInfo info;
     rpc::Channel channel;
     mutable std::mutex mu;  ///< guards the three members below
-    Samples latencies;      ///< seconds per successful sub-call
+    LatencyHistogram latencies;  ///< seconds per successful sub-call
     std::uint64_t calls = 0;
     std::uint64_t errors = 0;
   };

@@ -1,6 +1,7 @@
 #include "svc/service.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -22,6 +23,17 @@ struct overloaded : Ts... {
 };
 template <class... Ts>
 overloaded(Ts...) -> overloaded<Ts...>;
+
+/// The metrics JSON's latency keys: <prefix>count, <prefix>mean_s,
+/// <prefix>p50_s, <prefix>p95_s and <prefix>p99_s.
+void put_latency_s(json::Object& o, const std::string& prefix,
+                   const LatencySummary& latency) {
+  o[prefix + "count"] = json::Value(static_cast<std::int64_t>(latency.count));
+  o[prefix + "mean_s"] = json::Value(latency.mean);
+  o[prefix + "p50_s"] = json::Value(latency.p50);
+  o[prefix + "p95_s"] = json::Value(latency.p95);
+  o[prefix + "p99_s"] = json::Value(latency.p99);
+}
 
 }  // namespace
 
@@ -210,9 +222,7 @@ void Service::process(Job job) {
               "deadline expired before execution"};
   } else {
     try {
-      response.body = job.request.shard.has_value()
-                          ? execute_partial(job.request, response)
-                          : execute(job.request.body, response);
+      response.body = execute(job.request, response);
     } catch (const shard::StaleEpochError& e) {
       status = {StatusCode::stale_epoch, e.what()};
     } catch (const gs::Error& e) {
@@ -261,22 +271,45 @@ void Service::process(Job job) {
   job.done(std::move(response));
 }
 
-ResponseBody Service::execute(const QueryBody& body, Response& response) {
-  // The whole-array verbs reduce over the blocks in place. Cells no
-  // readable block holds (a damaged block's) count as zeros, the value a
-  // zero-filled read of the whole array gives them.
-  const auto every_block = [](std::size_t) { return true; };
+ResponseBody Service::execute(const Request& request, Response& response) {
+  // A shard sub-query answers for the blocks its act_as owns under the
+  // epoch it pins and reports them in PartialMeta; a plain query owns
+  // every block, and the whole-array verbs count the cells no readable
+  // block holds (a damaged block's) as zeros, the value a zero-filled
+  // read of the whole array gives them.
+  std::optional<ShardEpoch> ep;
+  PartialMeta meta;
+  if (request.shard.has_value()) {
+    ep = pin_epoch(*request.shard);
+    GS_REQUIRE(ep->map->find(request.shard->act_as) != nullptr,
+               "unknown shard '" << request.shard->act_as
+                                 << "' in sub-query");
+    meta.epoch = ep->map->epoch();
+  }
+  const auto owned_block = [&](const std::string& variable,
+                               std::int64_t step)
+      -> std::function<bool(std::size_t)> {
+    if (!ep) return [](std::size_t) { return true; };
+    return [&, variable, step](std::size_t block) {
+      return ep->ring->owner(shard::Ring::block_key(variable, step,
+                                                    block)) ==
+             request.shard->act_as;
+    };
+  };
   const auto unread_cells = [&](const std::string& variable,
-                                std::int64_t read) {
+                                std::int64_t read) -> std::uint64_t {
+    if (ep) return 0;  // the other shards hold the rest
     const std::int64_t volume = reader_.info(variable).shape.volume();
     GS_REQUIRE(read <= volume, "blocks of \"" << variable
                                                << "\" hold more cells "
                                                   "than its shape");
     return static_cast<std::uint64_t>(volume - read);
   };
-  return std::visit(
+  ResponseBody body = std::visit(
       overloaded{
           [&](const ListVariablesQ&) -> ResponseBody {
+            // The listing is metadata every shard holds whole; no block
+            // filtering, the router cross-checks the copies instead.
             ListVariablesR r;
             r.n_steps = reader_.n_steps();
             for (const auto& name : reader_.variable_names()) {
@@ -289,12 +322,15 @@ ResponseBody Service::execute(const QueryBody& body, Response& response) {
           [&](const FieldStatsQ& q) -> ResponseBody {
             ExactStats acc;
             std::int64_t read = 0;
-            scan_blocks(q.variable, q.step, every_block,
-                        [&](const BlockRef& ref) {
-                          acc.merge(analysis::exact_stats(ref.data));
-                          read += static_cast<std::int64_t>(ref.data.size());
-                        },
-                        response);
+            meta.total_blocks = scan_blocks(
+                q.variable, q.step, owned_block(q.variable, q.step),
+                [&](const BlockRef& ref) {
+                  acc.merge(analysis::exact_stats(ref.data));
+                  read += static_cast<std::int64_t>(ref.data.size());
+                  ++meta.covered_blocks;
+                },
+                response);
+            meta.stats = acc;
             acc.merge(ExactStats::from_parts(unread_cells(q.variable, read),
                                              0.0, 0.0, {}, {}));
             return FieldStatsR{analysis::stats_from_exact(acc)};
@@ -302,17 +338,22 @@ ResponseBody Service::execute(const QueryBody& body, Response& response) {
           [&](const HistogramQ& q) -> ResponseBody {
             GS_REQUIRE(q.bins >= 1 && q.bins <= (1u << 20),
                        "histogram bins " << q.bins << " out of range");
+            GS_REQUIRE(q.has_range || !ep,
+                       "shard histogram sub-query needs an explicit "
+                       "non-empty range");
             GS_REQUIRE(!q.has_range || q.hi > q.lo,
                        "histogram range [" << q.lo << "," << q.hi
                                            << ") empty");
             std::vector<BlockRef> refs;
             std::int64_t read = 0;
-            scan_blocks(q.variable, q.step, every_block,
-                        [&](const BlockRef& ref) {
-                          refs.push_back(ref);
-                          read += static_cast<std::int64_t>(ref.data.size());
-                        },
-                        response);
+            meta.total_blocks = scan_blocks(
+                q.variable, q.step, owned_block(q.variable, q.step),
+                [&](const BlockRef& ref) {
+                  refs.push_back(ref);
+                  read += static_cast<std::int64_t>(ref.data.size());
+                  ++meta.covered_blocks;
+                },
+                response);
             const std::uint64_t zeros = unread_cells(q.variable, read);
             double lo = q.lo;
             double hi = q.hi;
@@ -339,25 +380,35 @@ ResponseBody Service::execute(const QueryBody& body, Response& response) {
             return merge::histogram_response(h);
           },
           [&](const Slice2DQ& q) -> ResponseBody {
-            GS_REQUIRE(q.axis >= 0 && q.axis < 3, "axis must be 0..2");
-            const auto info = reader_.info(q.variable);
-            GS_REQUIRE(q.coord >= 0 && q.coord < info.shape[q.axis],
-                       "slice coordinate " << q.coord
-                                           << " outside axis extent "
-                                           << info.shape[q.axis]);
-            Box3 sel{{0, 0, 0}, info.shape};
-            sel.start.axis(q.axis) = q.coord;
-            sel.count.axis(q.axis) = 1;
-            const auto plane =
-                read_selection(q.variable, q.step, sel, response);
+            const Box3 plane = slice_plane(q);
+            const auto values =
+                read_selection(q.variable, q.step, plane,
+                               owned_block(q.variable, q.step), meta,
+                               response);
             return Slice2DR{
-                analysis::extract_slice(plane, sel.count, q.axis, 0)};
+                analysis::extract_slice(values, plane.count, q.axis, 0)};
           },
           [&](const ReadBoxQ& q) -> ResponseBody {
-            auto values = read_selection(q.variable, q.step, q.box, response);
+            auto values = read_selection(q.variable, q.step, q.box,
+                                         owned_block(q.variable, q.step),
+                                         meta, response);
             return ReadBoxR{q.box, std::move(values)};
           }},
-      body);
+      request.body);
+  if (ep) response.partial = std::move(meta);
+  return body;
+}
+
+Box3 Service::slice_plane(const Slice2DQ& q) const {
+  GS_REQUIRE(q.axis >= 0 && q.axis < 3, "axis must be 0..2");
+  const auto info = reader_.info(q.variable);
+  GS_REQUIRE(q.coord >= 0 && q.coord < info.shape[q.axis],
+             "slice coordinate " << q.coord << " outside axis extent "
+                                 << info.shape[q.axis]);
+  Box3 plane{{0, 0, 0}, info.shape};
+  plane.start.axis(q.axis) = q.coord;
+  plane.count.axis(q.axis) = 1;
+  return plane;
 }
 
 Service::ShardEpoch Service::pin_epoch(const ShardSelector& sel) const {
@@ -386,85 +437,6 @@ Service::ShardEpoch Service::pin_epoch(const ShardSelector& sel) const {
                  << ", request carries epoch " << sel.epoch << "/ring "
                  << sel.ring_crc);
   return ep;
-}
-
-ResponseBody Service::execute_partial(const Request& request,
-                                      Response& response) {
-  const ShardSelector& sel = *request.shard;
-  const ShardEpoch ep = pin_epoch(sel);
-  const shard::ShardMap& map = *ep.map;
-  GS_REQUIRE(map.find(sel.act_as) != nullptr,
-             "unknown shard '" << sel.act_as << "' in sub-query");
-
-  PartialMeta meta;
-  meta.epoch = map.epoch();
-  const auto owned_block = [&](const std::string& variable,
-                               std::int64_t step) {
-    return [&, variable, step](std::size_t block) {
-      return ep.ring->owner(shard::Ring::block_key(variable, step, block)) ==
-             sel.act_as;
-    };
-  };
-
-  ResponseBody body = std::visit(
-      overloaded{
-          [&](const ListVariablesQ& q) -> ResponseBody {
-            // The listing is metadata every shard holds whole; no block
-            // filtering, the router cross-checks the copies instead.
-            return execute(QueryBody{q}, response);
-          },
-          [&](const FieldStatsQ& q) -> ResponseBody {
-            ExactStats acc;
-            meta.total_blocks = scan_blocks(
-                q.variable, q.step, owned_block(q.variable, q.step),
-                [&](const BlockRef& ref) {
-                  acc.merge(analysis::exact_stats(ref.data));
-                  ++meta.covered_blocks;
-                },
-                response);
-            meta.stats = acc;
-            return FieldStatsR{analysis::stats_from_exact(acc)};
-          },
-          [&](const HistogramQ& q) -> ResponseBody {
-            GS_REQUIRE(q.bins >= 1 && q.bins <= (1u << 20),
-                       "histogram bins " << q.bins << " out of range");
-            GS_REQUIRE(q.has_range && q.hi > q.lo,
-                       "shard histogram sub-query needs an explicit "
-                       "non-empty range");
-            Histogram h(q.lo, q.hi, q.bins);
-            meta.total_blocks = scan_blocks(
-                q.variable, q.step, owned_block(q.variable, q.step),
-                [&](const BlockRef& ref) {
-                  h.merge(analysis::field_histogram(ref.data, q.bins, q.lo,
-                                                    q.hi));
-                  ++meta.covered_blocks;
-                },
-                response);
-            return merge::histogram_response(h);
-          },
-          [&](const Slice2DQ& q) -> ResponseBody {
-            GS_REQUIRE(q.axis >= 0 && q.axis < 3, "axis must be 0..2");
-            const auto info = reader_.info(q.variable);
-            GS_REQUIRE(q.coord >= 0 && q.coord < info.shape[q.axis],
-                       "slice coordinate " << q.coord
-                                           << " outside axis extent "
-                                           << info.shape[q.axis]);
-            Box3 plane{{0, 0, 0}, info.shape};
-            plane.start.axis(q.axis) = q.coord;
-            plane.count.axis(q.axis) = 1;
-            auto values = read_owned(q.variable, q.step, plane, *ep.ring,
-                                     sel.act_as, meta, response);
-            return Slice2DR{
-                analysis::extract_slice(values, plane.count, q.axis, 0)};
-          },
-          [&](const ReadBoxQ& q) -> ResponseBody {
-            auto values = read_owned(q.variable, q.step, q.box, *ep.ring,
-                                     sel.act_as, meta, response);
-            return ReadBoxR{q.box, std::move(values)};
-          }},
-      request.body);
-  response.partial = std::move(meta);
-  return body;
 }
 
 std::vector<BlockId> dataset_blocks(const bp::Reader& reader) {
@@ -579,49 +551,10 @@ std::uint64_t Service::shard_epoch() const {
   return shard_current_.map ? shard_current_.map->epoch() : 0;
 }
 
-std::vector<double> Service::read_owned(const std::string& variable,
-                                        std::int64_t step,
-                                        const Box3& selection,
-                                        const shard::Ring& ring,
-                                        const std::string& act_as,
-                                        PartialMeta& meta,
-                                        Response& response) {
-  GS_REQUIRE(!selection.empty(), "empty selection");
-  const auto info = reader_.info(variable);
-  GS_REQUIRE(selection.start.i >= 0 && selection.start.j >= 0 &&
-                 selection.start.k >= 0 &&
-                 selection.end().i <= info.shape.i &&
-                 selection.end().j <= info.shape.j &&
-                 selection.end().k <= info.shape.k,
-             "selection " << selection << " outside shape " << info.shape);
-  const auto blks = reader_.blocks(variable, step);
-  meta.total_blocks = blks.size();
-
-  std::vector<double> out(static_cast<std::size_t>(selection.volume()), 0.0);
-  for (std::size_t b = 0; b < blks.size(); ++b) {
-    if (ring.owner(shard::Ring::block_key(variable, step, b)) != act_as) {
-      continue;
-    }
-    const Box3 overlap = blks[b].box.intersect(selection);
-    if (overlap.empty()) {
-      // Owned but outside the selection: covered, nothing to copy.
-      ++meta.covered_blocks;
-      continue;
-    }
-    const BlockRef ref = fetch_block_ref(variable, step, b, response);
-    if (!ref.ok()) continue;  // damaged: stays uncovered
-    bp::copy_overlap(ref.data, blks[b].box, selection, out);
-    meta.coverage.push_back(
-        Box3{overlap.start - selection.start, overlap.count});
-    ++meta.covered_blocks;
-  }
-  return out;
-}
-
-std::vector<double> Service::read_selection(const std::string& variable,
-                                            std::int64_t step,
-                                            const Box3& selection,
-                                            Response& response) {
+std::vector<double> Service::read_selection(
+    const std::string& variable, std::int64_t step, const Box3& selection,
+    const std::function<bool(std::size_t)>& owned, PartialMeta& meta,
+    Response& response) {
   GS_REQUIRE(!selection.empty(), "empty selection");
   const auto info = reader_.info(variable);
   GS_REQUIRE(selection.start.i >= 0 && selection.start.j >= 0 &&
@@ -631,14 +564,23 @@ std::vector<double> Service::read_selection(const std::string& variable,
                  selection.end().k <= info.shape.k,
              "selection " << selection << " outside shape " << info.shape);
   const auto blks = reader_.blocks(variable, step);  // rejects scalars
+  meta.total_blocks = blks.size();
 
   std::vector<double> out(static_cast<std::size_t>(selection.volume()), 0.0);
   for (std::size_t b = 0; b < blks.size(); ++b) {
+    if (!owned(b)) continue;
     const Box3 overlap = blks[b].box.intersect(selection);
-    if (overlap.empty()) continue;
+    if (overlap.empty()) {
+      // Owned but outside the selection: covered, nothing to copy.
+      ++meta.covered_blocks;
+      continue;
+    }
     const BlockRef ref = fetch_block_ref(variable, step, b, response);
-    if (!ref.ok()) continue;  // damaged block salvaged (cells stay zero)
+    if (!ref.ok()) continue;  // damaged: its cells stay zero, uncovered
     bp::copy_overlap(ref.data, blks[b].box, selection, out);
+    meta.coverage.push_back(
+        Box3{overlap.start - selection.start, overlap.count});
+    ++meta.covered_blocks;
   }
   return out;
 }
@@ -759,27 +701,11 @@ MetricsSnapshot Service::metrics() const {
     m.bytes_scanned = bytes_scanned_total_;
     m.exec_seconds_total = exec_seconds_total_;
     m.by_verb_outcome = by_verb_outcome_;
-    m.latency_count = ok_latencies_.count();
-    if (!ok_latencies_.empty()) {
-      m.latency_mean = ok_latencies_.mean();
-      m.latency_p50 = ok_latencies_.percentile(50.0);
-      m.latency_p95 = ok_latencies_.percentile(95.0);
-      m.latency_p99 = ok_latencies_.percentile(99.0);
-    }
+    m.latency = ok_latencies_.summary();
     for (const auto& [name, tc] : tenants_) {
-      TenantMetrics tm;
-      tm.submitted = tc.submitted;
-      tm.completed_ok = tc.completed_ok;
-      tm.errors = tc.errors;
-      tm.slo_violations = tc.slo_violations;
-      tm.latency_count = tc.latencies.count();
-      if (!tc.latencies.empty()) {
-        tm.latency_mean = tc.latencies.mean();
-        tm.latency_p50 = tc.latencies.percentile(50.0);
-        tm.latency_p95 = tc.latencies.percentile(95.0);
-        tm.latency_p99 = tc.latencies.percentile(99.0);
-      }
-      m.tenants[name] = tm;
+      m.tenants[name] = TenantMetrics{tc.submitted, tc.completed_ok,
+                                      tc.errors, tc.slo_violations,
+                                      tc.latencies.summary()};
     }
   }
   for (int v = 0; v < kNumVerbs; ++v) {
@@ -836,11 +762,7 @@ json::Value MetricsSnapshot::to_json() const {
   o["queue"] = json::Value(queue);
 
   json::Object lat;
-  lat["count"] = json::Value(static_cast<std::int64_t>(latency_count));
-  lat["mean_s"] = json::Value(latency_mean);
-  lat["p50_s"] = json::Value(latency_p50);
-  lat["p95_s"] = json::Value(latency_p95);
-  lat["p99_s"] = json::Value(latency_p99);
+  put_latency_s(lat, "", latency);
   o["latency"] = json::Value(lat);
 
   json::Object c;
@@ -871,12 +793,7 @@ json::Value MetricsSnapshot::to_json() const {
       entry["completed_ok"] = json::Value(tm.completed_ok);
       entry["errors"] = json::Value(tm.errors);
       entry["slo_violations"] = json::Value(tm.slo_violations);
-      entry["latency_count"] =
-          json::Value(static_cast<std::int64_t>(tm.latency_count));
-      entry["latency_mean_s"] = json::Value(tm.latency_mean);
-      entry["latency_p50_s"] = json::Value(tm.latency_p50);
-      entry["latency_p95_s"] = json::Value(tm.latency_p95);
-      entry["latency_p99_s"] = json::Value(tm.latency_p99);
+      put_latency_s(entry, "latency_", tm.latency);
       ts[name] = json::Value(entry);
     }
     o["tenants"] = json::Value(ts);
@@ -906,11 +823,11 @@ std::string MetricsSnapshot::report() const {
       << (queue_capacity == 0 ? std::string("unbounded")
                               : std::to_string(queue_capacity))
       << ")\n";
-  oss << "latency (n=" << latency_count
-      << "): p50 " << format_seconds(latency_p50) << ", p95 "
-      << format_seconds(latency_p95) << ", p99 "
-      << format_seconds(latency_p99) << ", mean "
-      << format_seconds(latency_mean) << "\n";
+  oss << "latency (n=" << latency.count
+      << "): p50 " << format_seconds(latency.p50) << ", p95 "
+      << format_seconds(latency.p95) << ", p99 "
+      << format_seconds(latency.p99) << ", mean "
+      << format_seconds(latency.mean) << "\n";
   oss << "cache: " << cache.hits << " hit / " << cache.misses << " miss ("
       << format_fixed(cache.hit_rate() * 100.0, 1) << "%), "
       << format_bytes(cache.bytes) << " resident of "
@@ -929,8 +846,8 @@ std::string MetricsSnapshot::report() const {
   for (const auto& [name, tm] : tenants) {
     oss << "tenant " << name << ": " << tm.completed_ok << " ok, "
         << tm.errors << " error, " << tm.slo_violations
-        << " SLO violations, p50 " << format_seconds(tm.latency_p50)
-        << ", p99 " << format_seconds(tm.latency_p99) << "\n";
+        << " SLO violations, p50 " << format_seconds(tm.latency.p50)
+        << ", p99 " << format_seconds(tm.latency.p99) << "\n";
   }
   return oss.str();
 }

@@ -106,11 +106,7 @@ struct TenantMetrics {
   std::uint64_t errors = 0;  ///< every non-ok final status
   /// ok() responses whose latency exceeded ServiceConfig::slo_seconds.
   std::uint64_t slo_violations = 0;
-  std::size_t latency_count = 0;
-  double latency_mean = 0.0;
-  double latency_p50 = 0.0;
-  double latency_p95 = 0.0;
-  double latency_p99 = 0.0;
+  LatencySummary latency;  ///< ok() responses, seconds
 };
 
 /// Point-in-time service metrics (counters are cumulative since start).
@@ -145,11 +141,7 @@ struct MetricsSnapshot {
   std::size_t queue_capacity = 0;   ///< 0 = unbounded
 
   /// Latency of successfully completed requests, seconds.
-  std::size_t latency_count = 0;
-  double latency_mean = 0.0;
-  double latency_p50 = 0.0;
-  double latency_p95 = 0.0;
-  double latency_p99 = 0.0;
+  LatencySummary latency;
 
   CacheStats cache;
 
@@ -255,7 +247,9 @@ class Service {
   void worker_main();
   void process(Job job);
   /// Executes the verb (cached reads); throws gs::Error for bad input.
-  ResponseBody execute(const QueryBody& body, Response& response);
+  /// A shard sub-query (`request.shard`) answers only for the blocks its
+  /// act_as owns under the pinned epoch and attaches PartialMeta.
+  ResponseBody execute(const Request& request, Response& response);
   /// One epoch's placement: the map and its ring, swapped as a unit.
   struct ShardEpoch {
     std::shared_ptr<const shard::ShardMap> map;
@@ -267,14 +261,20 @@ class Service {
   /// throws gs::Error (-> BadRequest, final) on same-epoch ring_crc
   /// disagreement — that is split-brain, not a flip in progress.
   ShardEpoch pin_epoch(const ShardSelector& sel) const;
-  /// Shard sub-query: answers only for the blocks `request.shard->act_as`
-  /// owns under the pinned epoch and attaches PartialMeta.
-  ResponseBody execute_partial(const Request& request, Response& response);
-  /// Selection read through the block cache; bitwise-identical to
-  /// bp::Reader::read on the same selection.
-  std::vector<double> read_selection(const std::string& variable,
-                                     std::int64_t step, const Box3& selection,
-                                     Response& response);
+  /// The plane a Slice2DQ reads, after checking its axis and coordinate
+  /// against the variable's shape.
+  Box3 slice_plane(const Slice2DQ& q) const;
+  /// Selection read through the block cache over the blocks `owned(b)`
+  /// accepts: with every block owned, bitwise-identical to
+  /// bp::Reader::read on the same selection. Unowned and damaged blocks'
+  /// cells stay zero. `meta` gets the step's block count, the owned
+  /// blocks covered and their coverage boxes (selection-local) for the
+  /// router's overlay merge. A daemon without a shard role owns every
+  /// block.
+  std::vector<double> read_selection(
+      const std::string& variable, std::int64_t step, const Box3& selection,
+      const std::function<bool(std::size_t)>& owned, PartialMeta& meta,
+      Response& response);
   /// One cached/salvaged block fetch; nullptr means the block is damaged
   /// (the response has been flagged degraded and the block counted).
   BlockData fetch_block(const std::string& variable, std::int64_t step,
@@ -303,14 +303,6 @@ class Service {
                           const std::function<bool(std::size_t)>& owned,
                           const std::function<void(const BlockRef&)>& visit,
                           Response& response);
-  /// read_selection restricted to the blocks `act_as` owns under `ring`:
-  /// unowned cells stay zero, coverage boxes (selection-local) and block
-  /// counts land in `meta` for the router's overlay merge.
-  std::vector<double> read_owned(const std::string& variable,
-                                 std::int64_t step, const Box3& selection,
-                                 const shard::Ring& ring,
-                                 const std::string& act_as, PartialMeta& meta,
-                                 Response& response);
   void count_outcome(Verb verb, StatusCode code, double latency_seconds,
                      const std::string& tenant);
   double since_epoch(SteadyClock::time_point tp) const;
@@ -350,13 +342,13 @@ class Service {
   double exec_seconds_total_ = 0.0;
   std::array<std::array<std::uint64_t, kNumStatusCodes>, kNumVerbs>
       by_verb_outcome_{};
-  Samples ok_latencies_;
+  LatencyHistogram ok_latencies_;
   struct TenantCounters {
     std::uint64_t submitted = 0;
     std::uint64_t completed_ok = 0;
     std::uint64_t errors = 0;
     std::uint64_t slo_violations = 0;
-    Samples latencies;
+    LatencyHistogram latencies;
   };
   std::map<std::string, TenantCounters> tenants_;
 };

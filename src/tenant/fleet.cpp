@@ -131,17 +131,8 @@ std::map<std::string, TenantServingStats> Fleet::serving_stats() const {
   const std::lock_guard<std::mutex> lock(stats_mu_);
   std::map<std::string, TenantServingStats> out;
   for (const auto& [name, tc] : tenant_stats_) {
-    TenantServingStats s;
-    s.ok = tc.ok;
-    s.errors = tc.errors;
-    s.slo_violations = tc.slo_violations;
-    s.latency_count = tc.latencies.count();
-    if (!tc.latencies.empty()) {
-      s.latency_p50 = tc.latencies.percentile(50.0);
-      s.latency_p95 = tc.latencies.percentile(95.0);
-      s.latency_p99 = tc.latencies.percentile(99.0);
-    }
-    out[name] = s;
+    out[name] = TenantServingStats{tc.ok, tc.errors, tc.slo_violations,
+                                   tc.latencies.summary()};
   }
   return out;
 }

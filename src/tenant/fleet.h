@@ -15,8 +15,8 @@
 //   * tenants issue queries against published datasets concurrently with
 //     the campaign; every answer is tagged with the tenant and measured
 //     both server-side (svc per-tenant metrics, SLO violations) and
-//     client-side (exact per-tenant latency percentiles across all
-//     datasets).
+//     client-side (per-tenant latency percentiles across all datasets,
+//     from one LatencyHistogram per tenant: within 1% of exact).
 //
 // Thread-safety: the registry is mutex-guarded; svc::Service is itself
 // concurrent; the Scheduler is touched only by its runner thread between
@@ -54,16 +54,14 @@ struct FleetConfig {
 };
 
 /// Aggregated per-tenant serving outcome, measured client-side by
-/// Fleet::query across every published dataset (exact percentiles — no
-/// cross-service merge approximation).
+/// Fleet::query across every published dataset into one histogram per
+/// tenant, so no cross-service merge is needed. Count and mean are
+/// exact; the percentiles are LatencyHistogram's (within 1% relative).
 struct TenantServingStats {
   std::uint64_t ok = 0;
   std::uint64_t errors = 0;
   std::uint64_t slo_violations = 0;
-  std::size_t latency_count = 0;
-  double latency_p50 = 0.0;
-  double latency_p95 = 0.0;
-  double latency_p99 = 0.0;
+  LatencySummary latency;  ///< ok() responses, seconds
 };
 
 class Fleet {
@@ -127,7 +125,7 @@ class Fleet {
     std::uint64_t ok = 0;
     std::uint64_t errors = 0;
     std::uint64_t slo_violations = 0;
-    Samples latencies;
+    LatencyHistogram latencies;
   };
   mutable std::mutex stats_mu_;
   std::map<std::string, TenantCounters> tenant_stats_;

@@ -2,9 +2,15 @@
 // histograms, formatting, clocks, error machinery.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/clock.h"
@@ -16,6 +22,7 @@
 namespace {
 
 using gs::Histogram;
+using gs::LatencyHistogram;
 using gs::Rng;
 using gs::RunningStats;
 using gs::Samples;
@@ -215,6 +222,160 @@ TEST(Samples, PercentileOutOfRangeThrows) {
   s.add(1.0);
   EXPECT_THROW(s.percentile(-1), gs::Error);
   EXPECT_THROW(s.percentile(101), gs::Error);
+}
+
+TEST(Samples, QueriesSeeValuesAddedAfterAnEarlierQuery) {
+  Samples s;
+  for (int i = 1; i <= 10; ++i) s.add(1e-3 * i);
+  EXPECT_DOUBLE_EQ(s.percentile(50), 5.5e-3);
+  EXPECT_DOUBLE_EQ(s.max(), 10e-3);
+  for (int i = 0; i < 1000; ++i) s.add(1.0);
+  EXPECT_DOUBLE_EQ(s.percentile(50), 1.0);
+  EXPECT_DOUBLE_EQ(s.max(), 1.0);
+  EXPECT_DOUBLE_EQ(s.min(), 1e-3);
+}
+
+// ------------------------------------------------------ LatencyHistogram
+
+/// Feeds `trace` to a LatencyHistogram and to Samples: count, mean, min
+/// and max must match exactly, every percentile within 1% relative.
+void expect_within_one_percent(const std::vector<double>& trace,
+                               const char* name) {
+  Samples exact;
+  LatencyHistogram h;
+  for (const double v : trace) {
+    exact.add(v);
+    h.add(v);
+  }
+  ASSERT_EQ(h.count(), exact.count()) << name;
+  EXPECT_EQ(h.mean(), exact.mean()) << name << ": mean must be bit-equal";
+  EXPECT_EQ(h.min(), exact.min()) << name;
+  EXPECT_EQ(h.max(), exact.max()) << name;
+  for (const double p : {0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0,
+                         99.9, 100.0}) {
+    const double want = exact.percentile(p);
+    EXPECT_LE(std::abs(h.percentile(p) - want), 0.01 * want)
+        << name << " p" << p << ": " << h.percentile(p) << " vs " << want;
+  }
+  const gs::LatencySummary sum = h.summary();
+  EXPECT_EQ(sum.count, h.count());
+  EXPECT_EQ(sum.mean, h.mean());
+  EXPECT_EQ(sum.p50, h.percentile(50));
+  EXPECT_EQ(sum.p95, h.percentile(95));
+  EXPECT_EQ(sum.p99, h.percentile(99));
+}
+
+/// A seeded trace of `n` draws from `draw`, clamped to [1 us, 100 s] and
+/// holding both ends of that range.
+template <class Draw>
+std::vector<double> trace_of(std::size_t n, Draw draw) {
+  std::vector<double> trace{1e-6, 100.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    trace.push_back(std::clamp(draw(), 1e-6, 100.0));
+  }
+  return trace;
+}
+
+TEST(LatencyHistogram, QuantilesWithinOnePercentOnSeededTraces) {
+  Rng rng(28);
+  expect_within_one_percent(
+      trace_of(200000, [&] { return rng.lognormal(std::log(1e-3), 2.0); }),
+      "lognormal");
+  expect_within_one_percent(trace_of(200000,
+                                     [&] {
+                                       return rng.uniform01() < 0.9
+                                                  ? rng.lognormal(
+                                                        std::log(2e-4), 0.3)
+                                                  : rng.lognormal(
+                                                        std::log(2.0), 0.5);
+                                     }),
+                            "bimodal hot/cold");
+  expect_within_one_percent(std::vector<double>(100000, 4.2e-3), "constant");
+}
+
+TEST(LatencyHistogram, ConstantTraceIsExact) {
+  LatencyHistogram h;
+  for (int i = 0; i < 1000; ++i) h.add(4.2e-3);
+  EXPECT_EQ(h.percentile(50), 4.2e-3);
+  EXPECT_EQ(h.percentile(99), 4.2e-3);
+}
+
+TEST(LatencyHistogram, EmptyAndSingleSample) {
+  const LatencyHistogram empty;
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.mean(), 0.0);
+  EXPECT_EQ(empty.min(), 0.0);
+  EXPECT_EQ(empty.max(), 0.0);
+  EXPECT_EQ(empty.percentile(50), 0.0);
+  const gs::LatencySummary none = empty.summary();
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.mean, 0.0);
+  EXPECT_EQ(none.p50, 0.0);
+  EXPECT_EQ(none.p95, 0.0);
+  EXPECT_EQ(none.p99, 0.0);
+  EXPECT_THROW(empty.percentile(101), gs::Error);
+
+  LatencyHistogram one;
+  one.add(0.0123);
+  EXPECT_EQ(one.count(), 1u);
+  EXPECT_EQ(one.mean(), 0.0123);
+  for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_EQ(one.percentile(p), 0.0123) << "p" << p;
+  }
+}
+
+TEST(LatencyHistogram, EdgeValuesLandInTheEndBuckets) {
+  constexpr std::size_t kLast = LatencyHistogram::kBuckets - 1;
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(subnormal), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(-1.0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(std::nan("")), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(1e9), kLast);
+  EXPECT_EQ(LatencyHistogram::bucket_of(
+                std::numeric_limits<double>::infinity()),
+            kLast);
+  // The bucketed range's own ends.
+  EXPECT_EQ(LatencyHistogram::bucket_of(
+                std::ldexp(1.0, LatencyHistogram::kMinExp)),
+            1u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(std::nextafter(
+                std::ldexp(1.0, LatencyHistogram::kMaxExp), 0.0)),
+            kLast - 1);
+  EXPECT_EQ(LatencyHistogram::bucket_of(
+                std::ldexp(1.0, LatencyHistogram::kMaxExp)),
+            kLast);
+
+  LatencyHistogram h;
+  h.add(0.0);
+  h.add(subnormal);
+  h.add(1e9);
+  EXPECT_EQ(h.buckets()[0], 2u);
+  EXPECT_EQ(h.buckets()[kLast], 1u);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 1e9);
+  EXPECT_EQ(h.percentile(0), 0.0);
+  EXPECT_EQ(h.percentile(100), 1e9);
+  EXPECT_LE(h.percentile(50), subnormal);
+}
+
+TEST(LatencyHistogram, TenMillionAddsKeepSizeAndHeapFixed) {
+  // Its whole state is the bucket array plus a few scalars, held inline.
+  static_assert(std::is_trivially_copyable_v<LatencyHistogram>);
+  static_assert(sizeof(LatencyHistogram) <=
+                sizeof(std::uint64_t) * (LatencyHistogram::kBuckets + 8));
+  LatencyHistogram h;
+  const struct mallinfo2 before = mallinfo2();
+  double x = 1e-6;
+  for (int i = 0; i < 10'000'000; ++i) {
+    h.add(x);
+    x = x < 100.0 ? x * 1.0000013 : 1e-6;
+  }
+  const struct mallinfo2 after = mallinfo2();
+  EXPECT_EQ(h.count(), 10'000'000u);
+  EXPECT_EQ(after.uordblks, before.uordblks);
+  EXPECT_EQ(after.hblkhd, before.hblkhd);
 }
 
 TEST(Histogram, BinningAndClamping) {

@@ -533,6 +533,47 @@ TEST(RpcServer, StatsRpcReportsTransportAndService) {
   server.shutdown();
 }
 
+/// A Handler that answers list_variables inline after holding each
+/// request for `hold_ms`.
+class HoldingHandler : public Handler {
+ public:
+  void submit(svc::Request request, Done done) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms.load()));
+    svc::Response response;
+    response.verb = svc::verb_of(request.body);
+    response.body = svc::ListVariablesR{};
+    done(std::move(response));
+  }
+  gs::json::Value stats_json() const override {
+    gs::json::Object obj;
+    obj["dataset"] = gs::json::Value("held");
+    return gs::json::Value(std::move(obj));
+  }
+
+  std::atomic<int> hold_ms{0};
+};
+
+TEST(RpcServer, StatsPercentilesFollowLaterRequests) {
+  HoldingHandler handler;
+  Server server(handler);
+  Client client(server.endpoint());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(client.list_variables().ok());
+  const gs::json::Value fast = server.stats().to_json();
+  EXPECT_LT(fast.at("latency_p50").as_double(), 0.005);
+
+  // Three held requests for every fast one: the lifetime median is a
+  // held one, so a stats call must now report it.
+  handler.hold_ms = 6;
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(client.list_variables().ok());
+  const gs::json::Value slow = server.stats().to_json();
+  EXPECT_GT(slow.at("latency_p50").as_double(), 0.005);
+  EXPECT_GE(slow.at("latency_p99").as_double(),
+            slow.at("latency_p50").as_double());
+  EXPECT_EQ(slow.at("latency_count").as_int(),
+            slow.at("responses").as_int());
+  server.shutdown();
+}
+
 TEST(RpcServer, LoadSignalsReportQueueInflightAndDecayedRate) {
   gs::svc::Service service(dataset());
   Server server(service);

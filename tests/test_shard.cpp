@@ -907,6 +907,48 @@ TEST(ShardRouter, StatsJsonReportsDatasetAndPerShardHealth) {
   }
 }
 
+TEST(ShardRouter, PerShardLatencyFollowsLaterSlowerSubcalls) {
+  const std::string sock = "unix:" + temp_path("latency-s0") + ".sock";
+  const auto map = std::make_shared<const shard::ShardMap>(
+      1, 64, std::vector<shard::ShardInfo>{shard::ShardInfo{"s0", sock}});
+  std::atomic<int> hold_ms{0};
+  svc::ServiceConfig service_config;
+  service_config.shard_map = map;
+  service_config.before_execute = [&](const svc::Request&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms.load()));
+  };
+  svc::Service service(dataset(), std::move(service_config));
+  rpc::ServerConfig server_config;
+  server_config.listen = sock;
+  rpc::Server server(service, server_config);
+  shard::RouterConfig config;
+  config.probe_interval_ms = 0;
+  shard::Router router(map, config);
+
+  const auto ask = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      svc::Request request;
+      request.body = svc::FieldStatsQ{"U", 1};
+      ASSERT_TRUE(router.call(std::move(request)).status.ok());
+    }
+  };
+  const auto shard_stats = [&] {
+    return router.stats_json().at("router").at("shards").as_array().at(0);
+  };
+  ask(10);
+  const double fast_p50 = shard_stats().at("latency_p50").as_double();
+  EXPECT_LT(fast_p50, 0.005);
+
+  // Three held sub-calls for every fast one: the shard's lifetime median
+  // is now a held one.
+  hold_ms = 6;
+  ask(30);
+  const gs::json::Value slow = shard_stats();
+  EXPECT_GT(slow.at("latency_p50").as_double(), 0.005);
+  EXPECT_GT(slow.at("latency_p50").as_double(), fast_p50);
+  EXPECT_EQ(slow.at("latency_count").as_int(), slow.at("calls").as_int());
+}
+
 TEST(ShardRouter, SingleShardClusterIsJustAProxy) {
   Cluster cluster(1, {}, "one");
   svc::Service single(dataset(), svc::ServiceConfig{});

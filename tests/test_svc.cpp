@@ -507,8 +507,8 @@ TEST(SvcObservability, MetricsReportAndJsonAreWellFormed) {
   ASSERT_TRUE(client.field_stats("U", 0).ok());  // warm: cache hits
   const auto m = service.metrics();
   EXPECT_EQ(m.completed_ok, 2u);
-  EXPECT_GT(m.latency_p99, 0.0);
-  EXPECT_GE(m.latency_p99, m.latency_p50);
+  EXPECT_GT(m.latency.p99, 0.0);
+  EXPECT_GE(m.latency.p99, m.latency.p50);
   EXPECT_GT(m.cache.hits, 0u);
   // Both answers scanned the whole L^3 field: io accounting counts
   // every fetch, cache hits included.

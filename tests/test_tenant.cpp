@@ -526,7 +526,7 @@ TEST(TenantFleet, CampaignPublishesDatasetsAndServesTenants) {
   EXPECT_EQ(stats.at("bob").ok, 8u);
   EXPECT_EQ(stats.at("alice").errors, 0u);
   EXPECT_EQ(stats.at("alice").slo_violations, 0u);
-  EXPECT_GE(stats.at("alice").latency_p99, stats.at("alice").latency_p50);
+  EXPECT_GE(stats.at("alice").latency.p99, stats.at("alice").latency.p50);
 
   // Server-side per-tenant metrics agree on the counts.
   const auto m = fleet.service_metrics(ds);
