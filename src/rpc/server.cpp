@@ -105,41 +105,12 @@ std::string ServerStats::report() const {
 
 // ------------------------------------------------------------------ Server
 
-json::Value ServiceHandler::stats_json() const {
-  json::Object obj;
-  obj["dataset"] = json::Value(service_->path());
-  obj["service"] = service_->metrics().to_json();
-  obj["reshard"] = service_->reshard_stats().to_json();
-  // The serving shard-map epoch, top-level so the gs::ctrl actuator can
-  // confirm convergence with one stats round-trip (0 = unsharded).
-  obj["epoch"] =
-      json::Value(static_cast<std::int64_t>(service_->shard_epoch()));
-  return json::Value(std::move(obj));
-}
-
-std::size_t ServiceHandler::queue_depth() const {
-  return service_->metrics().queue_depth;
-}
-
-Server::Server(svc::Service& service, ServerConfig config,
+Server::Server(svc::Handler& handler, ServerConfig config,
                bp::Stream* live_stream)
-    : owned_handler_(std::make_unique<ServiceHandler>(service)),
-      handler_(owned_handler_.get()),
-      config_(std::move(config)),
-      live_stream_(live_stream),
-      epoch_(SteadyClock::now()) {
-  start();
-}
-
-Server::Server(Handler& handler, ServerConfig config, bp::Stream* live_stream)
     : handler_(&handler),
       config_(std::move(config)),
       live_stream_(live_stream),
       epoch_(SteadyClock::now()) {
-  start();
-}
-
-void Server::start() {
   GS_REQUIRE(config_.max_connections >= 1,
              "max_connections must be at least 1");
   GS_REQUIRE(config_.io_timeout_ms >= 1, "io_timeout_ms must be positive");

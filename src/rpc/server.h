@@ -1,6 +1,6 @@
-// gs::rpc server — the transport in front of gs::svc: an acceptor thread
-// plus one owner thread per connection, speaking the wire protocol of
-// rpc/wire.h. Execution stays inside the Handler's admission queue; the
+// gs::rpc server — the transport in front of a svc::Handler: an acceptor
+// thread plus one owner thread per connection, speaking the wire protocol
+// of rpc/wire.h. Execution stays inside the Handler's admission queue; the
 // rpc layer adds connection-level admission (max_connections), framed
 // request-id multiplexing (a client may pipeline requests and responses
 // return as they complete), an optional live bp::Stream subscription
@@ -8,7 +8,7 @@
 // shutdown (in-flight responses are delivered before sockets close).
 //
 // Only a connection's owner thread reads, writes or closes its socket.
-// A request's Handler::Done and the live-stream bridge post encoded
+// A request's svc::Handler::Done and the live-stream bridge post encoded
 // frames to the connection's outbox and signal its Wakeup; the owner
 // blocks in one poll() on both, so a reply leaves as soon as it is
 // posted, and a client that stops reading stalls only its connection.
@@ -41,7 +41,7 @@
 #include "prof/profiler.h"
 #include "rpc/socket.h"
 #include "rpc/wire.h"
-#include "svc/service.h"
+#include "svc/admission.h"
 
 namespace gs::rpc {
 
@@ -108,62 +108,16 @@ struct ServerStats {
 /// per-shard entries.
 void put_latency(json::Object& obj, const LatencySummary& latency);
 
-/// What a Server serves: anything that answers svc Requests through a
-/// callback and describes itself for the stats RPC. gs::svc::Service is
-/// one (via ServiceHandler); the gs::shard scatter-gather Router is
-/// another — the wire protocol cannot tell them apart, which is the
-/// point: clients speak to a router exactly as to a single daemon.
-class Handler {
- public:
-  using Done = svc::Done;
-
-  virtual ~Handler() = default;
-
-  /// Admits `request`; `done` then runs exactly once with its Response,
-  /// on any thread — inline before submit() returns for a rejection
-  /// (busy, shutting down). Never blocks. If submit() throws (an injected
-  /// fault::Kill), `done` never runs.
-  virtual void submit(svc::Request request, Done done) = 0;
-
-  /// The handler's half of the stats RPC JSON. Must contain a "dataset"
-  /// member (remote tools identify the served dataset through it).
-  virtual json::Value stats_json() const = 0;
-
-  /// Requests admitted but not yet executing — the svc admission queue
-  /// for a daemon, the routing queue for a Router. Surfaced as the
-  /// ServerStats "queue_depth" load signal; 0 when the handler has no
-  /// queue of its own.
-  virtual std::size_t queue_depth() const { return 0; }
-};
-
-/// Adapts an in-process svc::Service to the Handler interface.
-class ServiceHandler : public Handler {
- public:
-  explicit ServiceHandler(svc::Service& service) : service_(&service) {}
-
-  void submit(svc::Request request, Done done) override {
-    service_->submit(std::move(request), std::move(done));
-  }
-  json::Value stats_json() const override;
-  std::size_t queue_depth() const override;
-
- private:
-  svc::Service* service_;
-};
-
-/// One serving endpoint over a Handler. Starts the acceptor on
+/// One serving endpoint over a svc::Handler. Starts the acceptor on
 /// construction; destruction (or shutdown()) drains and joins.
 class Server {
  public:
-  /// When `live_stream` is non-null a bridge thread consumes it and fans
-  /// steps out to subscribed connections; the Server becomes the
-  /// stream's single consumer (reads it to end-of-stream or abandons it
-  /// at shutdown so blocked producers fail cleanly).
-  explicit Server(svc::Service& service, ServerConfig config = {},
-                  bp::Stream* live_stream = nullptr);
-  /// Serve an arbitrary Handler (e.g. the gs::shard Router). The handler
-  /// must outlive the server.
-  explicit Server(Handler& handler, ServerConfig config = {},
+  /// Serves `handler` (a svc::Service, a shard::Router, ...), which must
+  /// outlive the server. When `live_stream` is non-null a bridge thread
+  /// consumes it and fans steps out to subscribed connections; the Server
+  /// becomes the stream's single consumer (reads it to end-of-stream or
+  /// abandons it at shutdown so blocked producers fail cleanly).
+  explicit Server(svc::Handler& handler, ServerConfig config = {},
                   bp::Stream* live_stream = nullptr);
   ~Server();
 
@@ -175,12 +129,12 @@ class Server {
 
   /// Ends the live bridge, stops accepting, drains in-flight requests
   /// (responses are still delivered), joins every thread. On return no
-  /// Handler::Done can still touch the Server. Idempotent.
+  /// svc::Handler::Done can still touch the Server. Idempotent.
   void shutdown();
 
   ServerStats stats() const;
 
-  /// The stats RPC payload: transport counters + svc metrics + dataset.
+  /// The stats RPC payload: transport counters + the handler's stats.
   json::Value stats_json() const;
 
  private:
@@ -222,7 +176,6 @@ class Server {
     }
   };
 
-  void start();  ///< shared ctor tail: validate, bind, spawn threads
   void acceptor_main();
   void conn_main(Conn& conn);
   void bridge_main();
@@ -240,8 +193,7 @@ class Server {
     ++(counters_.*counter);
   }
 
-  std::unique_ptr<Handler> owned_handler_;  ///< set by the Service ctor
-  Handler* handler_;
+  svc::Handler* handler_;
   ServerConfig config_;
   bp::Stream* live_stream_;
   Listener listener_;

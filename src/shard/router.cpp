@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "fault/fault.h"
+#include "rpc/server.h"
 #include "svc/merge.h"
 
 namespace gs::shard {
@@ -71,15 +72,6 @@ ExactStats merge_exact(const std::vector<const svc::Response*>& parts) {
   return acc;
 }
 
-svc::Response refused(const svc::Request& request, svc::StatusCode code,
-                      std::string message) {
-  svc::Response response;
-  response.id = request.id;
-  response.verb = svc::verb_of(request.body);
-  response.status = svc::Status{code, std::move(message)};
-  return response;
-}
-
 }  // namespace
 
 Router::EpochState::EpochState(std::shared_ptr<const ShardMap> m,
@@ -125,14 +117,18 @@ Router::Pin::~Pin() {
 }
 
 Router::Router(std::shared_ptr<const ShardMap> map, RouterConfig config)
-    : config_(config) {
+    : config_(config),
+      admission_(config_.workers, config_.queue_capacity,
+                 "router admission queue full", "router shutting down",
+                 [this](svc::Job job) { serve(std::move(job)); },
+                 [this](const svc::Request&, svc::StatusCode code) {
+                   const std::lock_guard<std::mutex> lock(stats_mu_);
+                   ++(code == svc::StatusCode::shutting_down
+                          ? stats_.rejected_shutdown
+                          : stats_.rejected_busy);
+                 }) {
   GS_REQUIRE(map != nullptr, "router needs a shard map");
-  GS_REQUIRE(config_.workers > 0, "router needs at least one worker");
   epoch_ = std::make_shared<EpochState>(std::move(map), config_, nullptr);
-  workers_.reserve(config_.workers);
-  for (std::size_t i = 0; i < config_.workers; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
   if (config_.probe_interval_ms > 0) {
     probe_ = std::thread([this] { probe_main(); });
   }
@@ -141,80 +137,32 @@ Router::Router(std::shared_ptr<const ShardMap> map, RouterConfig config)
 Router::~Router() { shutdown(); }
 
 void Router::shutdown() {
-  std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
-  if (shut_down_) return;
-  shut_down_ = true;
+  const std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_ = true;
+    const std::lock_guard<std::mutex> lock(probe_mu_);
+    probe_stop_ = true;
   }
-  queue_cv_.notify_all();
   probe_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
+  admission_.shutdown();
   if (probe_.joinable()) probe_.join();
 }
 
-void Router::submit(svc::Request request, Done done) {
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  bool shutting_down = false;
+void Router::serve(svc::Job job) {
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    shutting_down = stopping_;
-    if (!shutting_down && (config_.queue_capacity == 0 ||
-                           queue_.size() < config_.queue_capacity)) {
-      queue_.push_back(Job{std::move(request), std::move(done)});
-      queue_cv_.notify_one();
-      return;
-    }
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++(shutting_down ? stats_.rejected_shutdown : stats_.rejected_busy);
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.queries;
   }
-  // Refused inline, outside the locks.
-  done(shutting_down ? refused(request, svc::StatusCode::shutting_down,
-                               "router shutting down")
-                     : refused(request, svc::StatusCode::server_busy,
-                               "router admission queue full"));
-}
-
-std::future<svc::Response> Router::submit(svc::Request request) {
-  auto promise = std::make_shared<std::promise<svc::Response>>();
-  submit(std::move(request),
-         [promise](svc::Response r) { promise->set_value(std::move(r)); });
-  return promise->get_future();
-}
-
-svc::Response Router::call(svc::Request request) {
-  return submit(std::move(request)).get();
-}
-
-void Router::worker_main() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
+  svc::Response response = route(job.request);
+  {
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    if (response.status.ok()) {
+      ++stats_.completed_ok;
+      if (response.degraded) ++stats_.degraded_answers;
+    } else {
+      ++stats_.failed;
     }
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.queries;
-    }
-    svc::Response response = route(job.request);
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      if (response.status.ok()) {
-        ++stats_.completed_ok;
-        if (response.degraded) ++stats_.degraded_answers;
-      } else {
-        ++stats_.failed;
-      }
-    }
-    job.done(std::move(response));
   }
+  job.done(std::move(response));
 }
 
 void Router::probe_main() {
@@ -224,12 +172,12 @@ void Router::probe_main() {
                                          t_start)
         .count();
   };
-  std::unique_lock<std::mutex> lock(queue_mu_);
+  std::unique_lock<std::mutex> lock(probe_mu_);
   for (;;) {
     probe_cv_.wait_for(lock,
                        std::chrono::milliseconds(config_.probe_interval_ms),
-                       [this] { return stopping_; });
-    if (stopping_) return;
+                       [this] { return probe_stop_; });
+    if (probe_stop_) return;
     lock.unlock();
     const std::shared_ptr<EpochState> ep = snapshot();
     for (const auto& info : ep->map->shards()) {
@@ -679,11 +627,6 @@ HandoverStats Router::handover_stats() const {
 RouterStats Router::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
-}
-
-std::size_t Router::queue_depth() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
 }
 
 json::Value Router::stats_json() const {

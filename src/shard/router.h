@@ -1,9 +1,10 @@
 // gs::shard router — the scatter-gather tier in front of a fleet of
-// gsserved shards. The router implements rpc::Handler, so an rpc::Server
+// gsserved shards. The router implements svc::Handler, so an rpc::Server
 // wrapped around it speaks the EXISTING wire protocol unchanged: remote
 // clients (gsquery, the live dashboard's query side) cannot tell a
 // router from a single daemon — except that the dataset behind it is
-// served by N processes.
+// served by N processes. Its admission queue is svc::Service's, one
+// svc::Admission (svc/admission.h).
 //
 // For each client query the router scatters one sub-query per shard in
 // the map ("answer for the blocks you own under epoch E"), gathers the
@@ -56,9 +57,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -71,10 +70,10 @@
 #include "config/json.h"
 #include "rpc/channel.h"
 #include "rpc/client.h"
-#include "rpc/server.h"
 #include "shard/health.h"
 #include "shard/map.h"
 #include "shard/reshard.h"
+#include "svc/admission.h"
 #include "svc/query.h"
 
 namespace gs::shard {
@@ -124,7 +123,7 @@ struct RouterStats {
   std::uint64_t failovers = 0;
 };
 
-class Router : public rpc::Handler {
+class Router : public svc::Handler {
  public:
   /// Builds the ring, dials nothing yet (channels connect lazily), starts
   /// the workers and the probe thread.
@@ -134,16 +133,13 @@ class Router : public rpc::Handler {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // rpc::Handler -----------------------------------------------------------
-  void submit(svc::Request request, Done done) override;
+  // svc::Handler -----------------------------------------------------------
+  void submit(svc::Request request, Done done) override {
+    admission_.submit(std::move(request), std::move(done));
+  }
+  using svc::Handler::submit;
   json::Value stats_json() const override;
-  std::size_t queue_depth() const override;
-
-  /// submit() through a future, for in-process callers.
-  std::future<svc::Response> submit(svc::Request request);
-
-  /// submit() + wait.
-  svc::Response call(svc::Request request);
+  std::size_t queue_depth() const override { return admission_.depth(); }
 
   /// Stops admission, drains queued queries, joins workers + probe.
   void shutdown();
@@ -208,11 +204,6 @@ class Router : public rpc::Handler {
     ~Pin();
   };
 
-  struct Job {
-    svc::Request request;
-    Done done;
-  };
-
   /// One shard's contribution to a scattered query.
   struct SubResult {
     std::string act_as;
@@ -221,7 +212,8 @@ class Router : public rpc::Handler {
     std::optional<svc::Response> response;
   };
 
-  void worker_main();
+  /// Routes one admitted query on an Admission worker.
+  void serve(svc::Job job);
   void probe_main();
 
   /// The current epoch, unpinned (probe loop, stats, accessors).
@@ -279,18 +271,11 @@ class Router : public rpc::Handler {
   std::mutex reload_mu_;  ///< serializes concurrent reload_map calls
   HandoverStats handover_;  ///< guarded by stats_mu_
 
-  // Admission queue (mirrors svc::Service's backpressure contract).
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> next_id_{1};
-  std::mutex shutdown_mu_;
-  bool shut_down_ = false;
-
-  std::thread probe_;
+  std::mutex shutdown_mu_;  ///< serializes concurrent shutdown() calls
+  std::mutex probe_mu_;  ///< guards probe_stop_
   std::condition_variable probe_cv_;  ///< woken by shutdown()
+  bool probe_stop_ = false;
+  std::thread probe_;
 
   mutable std::mutex stats_mu_;
   RouterStats stats_;
@@ -299,6 +284,10 @@ class Router : public rpc::Handler {
   /// shard's stats RPC (the Handler contract requires reporting one).
   mutable std::mutex dataset_mu_;
   mutable std::string dataset_;
+
+  // Last: its workers call serve(), so they stop before the members above
+  // are destroyed.
+  svc::Admission admission_;
 };
 
 }  // namespace gs::shard

@@ -10,7 +10,6 @@
 #include "common/format.h"
 #include "common/log.h"
 #include "fault/fault.h"
-#include "par/pool.h"
 #include "svc/merge.h"
 
 namespace gs::svc {
@@ -77,131 +76,57 @@ Service::Service(std::string path, ServiceConfig config)
     : path_(std::move(path)),
       reader_(path_),
       config_(std::move(config)),
-      epoch_(SteadyClock::now()) {
-  GS_REQUIRE(config_.threads >= 1, "service needs at least one worker");
+      cache_(std::make_unique<BlockCache>(config_.cache_bytes,
+                                          config_.cache_shards)),
+      epoch_(SteadyClock::now()),
+      admission_(config_.threads, config_.queue_capacity,
+                 "admission queue full", "service is shutting down",
+                 [this](Job job) { process(std::move(job)); },
+                 [this](const Request& request, StatusCode code) {
+                   count_outcome(verb_of(request.body), code, 0.0,
+                                 request.tenant);
+                 }) {
   if (!config_.mmap_reads) reader_.set_mmap(false);
-  cache_ = std::make_unique<BlockCache>(config_.cache_bytes,
-                                        config_.cache_shards);
   if (config_.shard_map) {
     shard_current_.map = config_.shard_map;
     shard_current_.ring = std::make_shared<const shard::Ring>(
         *config_.shard_map);
   }
-  workers_.reserve(config_.threads);
-  for (std::size_t t = 0; t < config_.threads; ++t) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
 }
-
-Service::~Service() { shutdown(); }
 
 double Service::since_epoch(SteadyClock::time_point tp) const {
   return std::chrono::duration<double>(tp - epoch_).count();
 }
 
 void Service::submit(Request request, Done done) {
-  const auto now = SteadyClock::now();
-  request.id = next_id_.fetch_add(1);
-
-  Job job;
-  job.submitted_at = now;
-  job.has_deadline = request.timeout_seconds != 0.0;
-  if (job.has_deadline) {
-    job.deadline =
-        now + std::chrono::duration_cast<SteadyClock::duration>(
-                  std::chrono::duration<double>(request.timeout_seconds));
-  }
-  job.request = std::move(request);
-  job.done = std::move(done);
-
-  StatusCode reject = StatusCode::ok;
-  std::string reject_message;
   // Fault hook: an injected admission failure answers internal_error
   // instead of crashing the service (delay stalls admission; kill — a
   // simulated service crash — propagates to the caller).
+  Status refusal;
   try {
     fault::Injector::instance().check("svc.admission");
   } catch (const IoError& e) {
-    reject = StatusCode::internal_error;
-    reject_message = e.what();
+    refusal = {StatusCode::internal_error, e.what()};
   }
   {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    {
-      const std::lock_guard<std::mutex> mlock(metrics_mu_);
-      ++submitted_;
-      if (!job.request.tenant.empty()) {
-        ++tenants_[job.request.tenant].submitted;
-      }
-    }
-    if (reject != StatusCode::ok) {
-      // fall through to the rejection path below
-    } else if (stopping_) {
-      reject = StatusCode::shutting_down;
-      reject_message = "service is shutting down";
-    } else if (config_.queue_capacity > 0 &&
-               queue_.size() >= config_.queue_capacity) {
-      reject = StatusCode::server_busy;
-      reject_message = "admission queue full";
-    } else {
-      queue_.push_back(std::move(job));
-      max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
+    const std::lock_guard<std::mutex> lock(metrics_mu_);
+    ++submitted_;
+    if (!request.tenant.empty()) {
+      ++tenant_counters(request.tenant).submitted;
     }
   }
-  if (reject == StatusCode::ok) {
-    queue_cv_.notify_one();
-    return;
-  }
-
-  // Rejection path: resolve immediately — the caller always gets an
-  // answer, backpressure instead of blocking.
-  Response response;
-  response.id = job.request.id;
-  response.verb = verb_of(job.request.body);
-  response.status.code = reject;
-  response.status.message = std::move(reject_message);
-  response.latency_seconds =
-      std::chrono::duration<double>(SteadyClock::now() - now).count();
-  count_outcome(response.verb, reject, 0.0, job.request.tenant);
-  job.done(std::move(response));
+  admission_.submit(std::move(request), std::move(done), std::move(refusal));
 }
 
-std::future<Response> Service::submit(Request request) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  submit(std::move(request),
-         [promise](Response r) { promise->set_value(std::move(r)); });
-  return promise->get_future();
-}
-
-Response Service::call(Request request) {
-  return submit(std::move(request)).get();
-}
-
-void Service::shutdown() {
-  const std::lock_guard<std::mutex> slock(shutdown_mu_);
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
-  workers_.clear();
-}
-
-void Service::worker_main() {
-  // The request workers are this daemon's parallel axis: a request's
-  // gs::par regions run inline on its worker rather than queueing on the
-  // shared pool behind the other workers' regions (ServiceConfig::threads).
-  par::ThreadPool::run_inline_on_this_thread();
-  for (;;) {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stopping_ and fully drained
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    process(std::move(job));
-  }
+json::Value Service::stats_json() const {
+  json::Object obj;
+  obj["dataset"] = json::Value(path_);
+  obj["service"] = metrics().to_json();
+  obj["reshard"] = reshard_stats().to_json();
+  // The serving shard-map epoch, top-level so the gs::ctrl actuator can
+  // confirm convergence with one stats round-trip (0 = unsharded).
+  obj["epoch"] = json::Value(static_cast<std::int64_t>(shard_epoch()));
+  return json::Value(std::move(obj));
 }
 
 void Service::process(Job job) {
@@ -215,9 +140,14 @@ void Service::process(Job job) {
 
   if (config_.before_execute) config_.before_execute(job.request);
 
+  const double timeout = job.request.timeout_seconds;
+  const bool has_deadline = timeout != 0.0;
+  const auto deadline = job.submitted_at +
+                        std::chrono::duration_cast<SteadyClock::duration>(
+                            std::chrono::duration<double>(timeout));
   const auto exec_start = SteadyClock::now();
   Status status;
-  if (job.has_deadline && exec_start >= job.deadline) {
+  if (has_deadline && exec_start >= deadline) {
     status = {StatusCode::deadline_exceeded,
               "deadline expired before execution"};
   } else {
@@ -230,7 +160,7 @@ void Service::process(Job job) {
     } catch (const std::exception& e) {
       status = {StatusCode::internal_error, e.what()};
     }
-    if (status.ok() && job.has_deadline && SteadyClock::now() > job.deadline) {
+    if (status.ok() && has_deadline && SteadyClock::now() > deadline) {
       status = {StatusCode::deadline_exceeded,
                 "deadline expired during execution"};
     }
@@ -672,7 +602,7 @@ void Service::count_outcome(Verb verb, StatusCode code,
                     [static_cast<std::size_t>(code)];
   if (code == StatusCode::ok) ok_latencies_.add(latency_seconds);
   if (!tenant.empty()) {
-    TenantCounters& tc = tenants_[tenant];
+    TenantCounters& tc = tenant_counters(tenant);
     if (code == StatusCode::ok) {
       ++tc.completed_ok;
       tc.latencies.add(latency_seconds);
@@ -686,14 +616,18 @@ void Service::count_outcome(Verb verb, StatusCode code,
   }
 }
 
+Service::TenantCounters& Service::tenant_counters(const std::string& tenant) {
+  const auto it = tenants_.find(tenant);
+  if (it != tenants_.end()) return it->second;
+  if (tenants_.size() < kMaxTenants) return tenants_[tenant];
+  return tenants_[kOtherTenant];
+}
+
 MetricsSnapshot Service::metrics() const {
   MetricsSnapshot m;
   m.queue_capacity = config_.queue_capacity;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    m.queue_depth = queue_.size();
-    m.max_queue_depth = max_queue_depth_;
-  }
+  m.queue_depth = admission_.depth();
+  m.max_queue_depth = admission_.max_depth();
   {
     const std::lock_guard<std::mutex> lock(metrics_mu_);
     m.submitted = submitted_;

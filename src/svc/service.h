@@ -5,7 +5,7 @@
 //
 // Architecture:
 //   * a pool of worker threads pulls requests from a bounded admission
-//     queue; when the queue is full, submit() answers ServerBusy
+//     queue (svc::Admission, behind the svc::Handler interface); when the queue is full, submit() answers ServerBusy
 //     immediately (backpressure — rejects are counted, never lost, and
 //     nobody blocks or crashes);
 //   * every request carries an optional deadline, enforced when a worker
@@ -22,19 +22,14 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bp/reader.h"
@@ -43,20 +38,16 @@
 #include "prof/profiler.h"
 #include "shard/map.h"
 #include "shard/reshard.h"
+#include "svc/admission.h"
 #include "svc/cache.h"
 #include "svc/query.h"
 
 namespace gs::svc {
 
 struct ServiceConfig {
-  /// Request-handling worker threads: the service's only parallel axis.
-  /// Every gs::par region a worker enters (analysis reductions,
-  /// checksums) runs inline on that worker
-  /// (par::ThreadPool::run_inline_on_this_thread) instead of on the
-  /// process-global pool, where concurrent requests' regions would
-  /// serialize one region at a time. Tile plans are fixed, so answers are
-  /// bitwise identical either way; a request's latency is then its own
-  /// serial work, and throughput scales with this count.
+  /// Request-handling worker threads, the service's only parallel axis:
+  /// each runs its gs::par regions inline (svc::Admission), so answers
+  /// stay bitwise identical and throughput scales with this count.
   std::size_t threads = 2;
   /// Admission-queue bound; 0 disables admission control (unbounded).
   std::size_t queue_capacity = 64;
@@ -98,8 +89,14 @@ struct ServiceConfig {
   double reload_grace_seconds = 2.0;
 };
 
+/// The tenant tag is untrusted wire input: only the first kMaxTenants
+/// distinct tags get an entry; every later new tag books under kOtherTenant.
+inline constexpr std::size_t kMaxTenants = 64;
+inline constexpr const char* kOtherTenant = "(other)";
+
 /// Per-tenant slice of the service metrics (requests tagged with
-/// Request::tenant; untagged traffic is not attributed).
+/// Request::tenant; untagged traffic is not attributed), bounded at
+/// kMaxTenants entries plus kOtherTenant.
 struct TenantMetrics {
   std::uint64_t submitted = 0;
   std::uint64_t completed_ok = 0;
@@ -172,37 +169,27 @@ struct BlockId {
 /// benches' ring-movement bounds.
 std::vector<BlockId> dataset_blocks(const bp::Reader& reader);
 
-/// Completion callback of an admitted request: runs exactly once with
-/// its Response.
-using Done = std::function<void(Response)>;
-
-class Service {
+class Service : public Handler {
  public:
   /// Opens the dataset at `path` (throws gs::IoError if absent/corrupt)
   /// and starts the worker pool.
   explicit Service(std::string path, ServiceConfig config = {});
 
-  /// Drains and joins (equivalent to shutdown()).
-  ~Service();
-
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Admits or rejects the request; `done` runs exactly once with its
-  /// Response — on a worker, or inline before submit() returns for a
-  /// rejection (queue full, shutting down). Never blocks on a full queue.
-  /// An injected fault::Kill at admission propagates and `done` never
-  /// runs.
-  void submit(Request request, Done done);
-  /// The same through a future, for in-process callers.
-  std::future<Response> submit(Request request);
-
-  /// submit() + wait.
-  Response call(Request request);
+  // svc::Handler -----------------------------------------------------------
+  /// Handler::submit. Fault site "svc.admission": an injected IoError is
+  /// refused internal_error inline; a fault::Kill propagates.
+  void submit(Request request, Done done) override;
+  using Handler::submit;
+  /// "dataset", the "service" metrics, "reshard" and the serving "epoch".
+  json::Value stats_json() const override;
+  std::size_t queue_depth() const override { return admission_.depth(); }
 
   /// Stops admission, drains every queued and in-flight request, joins
   /// the workers. Idempotent; also runs on destruction.
-  void shutdown();
+  void shutdown() { admission_.shutdown(); }
 
   /// Adopts `next` as the serving shard map (the daemon half of an epoch
   /// handover). Validates it against the current epoch (strictly
@@ -236,15 +223,7 @@ class Service {
  private:
   using SteadyClock = std::chrono::steady_clock;
 
-  struct Job {
-    Request request;
-    Done done;
-    SteadyClock::time_point submitted_at;
-    SteadyClock::time_point deadline;
-    bool has_deadline = false;
-  };
-
-  void worker_main();
+  /// Serves one admitted request on an Admission worker.
   void process(Job job);
   /// Executes the verb (cached reads); throws gs::Error for bad input.
   /// A shard sub-query (`request.shard`) answers only for the blocks its
@@ -323,18 +302,7 @@ class Service {
   shard::ReplacementStats reshard_stats_;
   std::mutex reload_mu_;  ///< serializes concurrent reload_shard_map calls
 
-  // Admission queue (queue_mu_ also guards the depth high-water mark).
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
-  std::size_t max_queue_depth_ = 0;
-  std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> next_id_{1};
-  std::mutex shutdown_mu_;  ///< serializes concurrent shutdown() calls
-
-  // Metrics (separate lock: workers update while clients snapshot; lock
-  // order where both are held is queue_mu_ then metrics_mu_).
+  // Metrics (workers update while clients snapshot).
   mutable std::mutex metrics_mu_;
   std::uint64_t submitted_ = 0;
   std::uint64_t degraded_ = 0;
@@ -351,6 +319,13 @@ class Service {
     LatencyHistogram latencies;
   };
   std::map<std::string, TenantCounters> tenants_;
+  /// The entry that books `tenant`: its own while the table has room, else
+  /// kOtherTenant (TenantMetrics). Caller holds metrics_mu_.
+  TenantCounters& tenant_counters(const std::string& tenant);
+
+  // Last, so it is destroyed first: its workers call process(), and they
+  // drain and stop before the members above go.
+  Admission admission_;
 };
 
 /// Typed in-process client: one call per verb, each returning a typed

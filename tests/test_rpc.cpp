@@ -535,7 +535,7 @@ TEST(RpcServer, StatsRpcReportsTransportAndService) {
 
 /// A Handler that answers list_variables inline after holding each
 /// request for `hold_ms`.
-class HoldingHandler : public Handler {
+class HoldingHandler : public svc::Handler {
  public:
   void submit(svc::Request request, Done done) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms.load()));
@@ -635,7 +635,7 @@ TEST(RpcServer, ShutdownDrainsInFlightRequests) {
 
 /// A Handler that parks list_variables requests until the test completes
 /// them, and rejects field_stats inline, inside submit().
-class ParkingHandler : public Handler {
+class ParkingHandler : public svc::Handler {
  public:
   void submit(svc::Request request, Done done) override {
     svc::Response response;

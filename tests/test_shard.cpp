@@ -24,6 +24,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <span>
 #include <string>
@@ -822,7 +823,7 @@ TEST(ShardRouter, SubcallAttemptsAreTheWholeTransportCount) {
 
 /// A daemon that refuses every request with a retryable server_busy and
 /// counts the requests it gets.
-class BusyHandler : public rpc::Handler {
+class BusyHandler : public svc::Handler {
  public:
   void submit(svc::Request request, Done done) override {
     ++requests;
@@ -947,6 +948,128 @@ TEST(ShardRouter, PerShardLatencyFollowsLaterSlowerSubcalls) {
   EXPECT_GT(slow.at("latency_p50").as_double(), 0.005);
   EXPECT_GT(slow.at("latency_p50").as_double(), fast_p50);
   EXPECT_EQ(slow.at("latency_count").as_int(), slow.at("calls").as_int());
+}
+
+/// A before_execute hook that parks its worker: it counts the request in
+/// `entered`, then waits for `release`.
+struct Park {
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+
+  std::function<void(const svc::Request&)> hook() {
+    return [this](const svc::Request&) {
+      entered.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+  }
+};
+
+/// The admission contract svc::Service and shard::Router share, driven
+/// through svc::Handler alone. `handler` has one worker and a one-slot
+/// queue, and `park` holds the worker's first request; `shutdown` is the
+/// handler's drain. Returns once the drain is done.
+void expect_admission_contract(svc::Handler& handler, Park& park,
+                               const std::function<void()>& shutdown) {
+  struct Answer {
+    int runs = 0;  ///< times Done ran
+    svc::Response response;
+  };
+  std::mutex mu;
+  std::vector<Answer> answers(4);
+  const auto submit = [&](std::size_t i) {
+    svc::Request request;
+    request.body = svc::FieldStatsQ{"U", 1};
+    handler.submit(std::move(request), [&mu, &answers, i](svc::Response r) {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++answers[i].runs;
+      answers[i].response = std::move(r);
+    });
+  };
+  const auto answer = [&](std::size_t i) {
+    const std::lock_guard<std::mutex> lock(mu);
+    return answers[i];
+  };
+
+  submit(0);  // the worker takes it and parks
+  while (park.entered.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  submit(1);  // fills the one queue slot
+  EXPECT_EQ(handler.queue_depth(), 1u);
+  submit(2);  // refused inline, before submit() returns
+  EXPECT_EQ(answer(2).runs, 1);
+  EXPECT_EQ(answer(2).response.status.code, svc::StatusCode::server_busy);
+
+  std::atomic<bool> closing{false};
+  std::thread closer([&] {
+    closing.store(true);
+    shutdown();
+  });
+  while (!closing.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // shutdown() stops admission before it waits on the parked worker; a
+  // submit that came too early would read server_busy, never a pass.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  submit(3);
+  EXPECT_EQ(answer(3).runs, 1);
+  EXPECT_EQ(answer(3).response.status.code, svc::StatusCode::shutting_down);
+  EXPECT_EQ(answer(0).runs, 0) << "the parked request answered early";
+
+  park.release.store(true);
+  closer.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Answer a = answer(i);
+    EXPECT_EQ(a.runs, 1) << "request " << i;
+    EXPECT_TRUE(a.response.status.ok())
+        << "request " << i << ": " << a.response.status.message;
+  }
+  EXPECT_EQ(answer(2).runs, 1);
+  EXPECT_EQ(answer(3).runs, 1);
+}
+
+TEST(ShardRouter, AdmissionContractHoldsForAService) {
+  Park park;
+  svc::ServiceConfig config;
+  config.threads = 1;
+  config.queue_capacity = 1;
+  config.before_execute = park.hook();
+  svc::Service service(dataset(), std::move(config));
+  expect_admission_contract(service, park, [&] { service.shutdown(); });
+  const svc::MetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.rejected_busy, 1u);
+  EXPECT_EQ(m.rejected_shutdown, 1u);
+  EXPECT_EQ(m.completed_ok, 2u);
+  EXPECT_EQ(m.accounted(), m.submitted);
+}
+
+TEST(ShardRouter, AdmissionContractHoldsForTheRouter) {
+  // One shard, whose daemon parks the router worker's sub-query.
+  const std::string sock = "unix:" + temp_path("admission-s0") + ".sock";
+  const auto map = std::make_shared<const shard::ShardMap>(
+      1, 64, std::vector<shard::ShardInfo>{shard::ShardInfo{"s0", sock}});
+  Park park;
+  svc::ServiceConfig service_config;
+  service_config.shard_map = map;
+  service_config.before_execute = park.hook();
+  svc::Service daemon(dataset(), std::move(service_config));
+  rpc::ServerConfig server_config;
+  server_config.listen = sock;
+  rpc::Server server(daemon, server_config);
+
+  shard::RouterConfig config;
+  config.workers = 1;
+  config.queue_capacity = 1;
+  config.probe_interval_ms = 0;
+  shard::Router router(map, config);
+  expect_admission_contract(router, park, [&] { router.shutdown(); });
+  const shard::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.rejected_busy, 1u);
+  EXPECT_EQ(stats.rejected_shutdown, 1u);
+  EXPECT_EQ(stats.completed_ok, 2u);
+  EXPECT_EQ(stats.queries, 2u);
 }
 
 TEST(ShardRouter, SingleShardClusterIsJustAProxy) {

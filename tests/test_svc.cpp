@@ -2,7 +2,8 @@
 // verb round-trips against direct gs::analysis answers, admission
 // control rejects (never blocks) on a full queue, deadlines expire into
 // DeadlineExceeded, shutdown drains, the LRU block cache honors its byte
-// budget, and cached reads are bitwise-identical to uncached ones.
+// budget, cached reads are bitwise-identical to uncached ones, and the
+// per-tenant metrics table stays bounded.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -525,6 +526,23 @@ TEST(SvcObservability, MetricsReportAndJsonAreWellFormed) {
   // The snapshot dump must parse back.
   const auto reparsed = gs::json::parse(doc.dump(2));
   EXPECT_EQ(reparsed.at("submitted").as_int(), 2);
+}
+
+TEST(SvcTenants, DistinctTagsBeyondTheCapShareOneEntry) {
+  // The tenant tag is untrusted wire input: a client cycling names must
+  // not grow the per-tenant table past its fixed bound.
+  Service service(dataset());
+  for (int i = 0; i < 1000; ++i) {
+    Client client(service, 0.0, "tenant-" + std::to_string(i));
+    ASSERT_TRUE(client.list_variables().ok());
+  }
+  const auto m = service.metrics();
+  EXPECT_EQ(m.tenants.size(), 65u);  // the first 64 tags and "(other)"
+  ASSERT_EQ(m.tenants.count("(other)"), 1u);
+  EXPECT_EQ(m.tenants.at("(other)").submitted, 936u);
+  EXPECT_EQ(m.tenants.at("(other)").completed_ok, 936u);
+  EXPECT_EQ(m.tenants.at("tenant-0").submitted, 1u);
+  EXPECT_EQ(m.accounted(), m.submitted);
 }
 
 // ---- concurrency ----------------------------------------------------------

@@ -11,7 +11,6 @@
 //
 // Shutdown: SIGINT/SIGTERM drain gracefully — in-flight scatters finish,
 // their answers are delivered, then the process exits 0.
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,14 +24,9 @@
 #include "shard/reshard.h"
 #include "shard/router.h"
 #include "cli_contract.h"
+#include "daemon_signals.h"
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-volatile std::sig_atomic_t g_reload = 0;
-
-void handle_signal(int) { g_stop = 1; }
-void handle_hup(int) { g_reload = 1; }
 
 int usage(std::FILE* to, const char* argv0) {
   std::fprintf(
@@ -171,6 +165,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    // Before the router starts its threads, so they inherit the mask.
+    const sigset_t signals = gs::cli::block_daemon_signals();
     gs::shard::Router router(map, router_config);
 
     // Epoch handover: adopt a validated successor map live (mtime poll +
@@ -214,21 +210,7 @@ int main(int argc, char** argv) {
       out << server.endpoint().str() << "\n";
     }
 
-    struct sigaction sa{};
-    sa.sa_handler = handle_signal;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-    struct sigaction hup{};
-    hup.sa_handler = handle_hup;
-    ::sigaction(SIGHUP, &hup, nullptr);
-
-    while (g_stop == 0) {
-      if (g_reload != 0) {
-        g_reload = 0;
-        watcher.trigger();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+    gs::cli::wait_for_stop(signals, [&watcher] { watcher.trigger(); });
     std::fprintf(stderr, "gsrouter: draining...\n");
     server.shutdown();
     router.shutdown();

@@ -14,7 +14,6 @@
 // Shutdown: SIGINT/SIGTERM drain gracefully — in-flight requests are
 // answered, subscribers get a stream_end frame, then sockets close and
 // the process exits 0.
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,14 +32,9 @@
 #include "shard/reshard.h"
 #include "svc/service.h"
 #include "cli_contract.h"
+#include "daemon_signals.h"
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-volatile std::sig_atomic_t g_reload = 0;
-
-void handle_signal(int) { g_stop = 1; }
-void handle_hup(int) { g_reload = 1; }
 
 int usage(std::FILE* to, const char* argv0) {
   std::fprintf(
@@ -194,6 +188,8 @@ int main(int argc, char** argv) {
       svc_config.shard_map = std::move(map);
       svc_config.shard_id = shard_id;
     }
+    // Before the service starts its workers, so they inherit the mask.
+    const sigset_t signals = gs::cli::block_daemon_signals();
     gs::svc::Service service(dataset, std::move(svc_config));
 
     // Epoch handover: watch the map file (mtime poll + SIGHUP + admin
@@ -284,21 +280,9 @@ int main(int argc, char** argv) {
       });
     }
 
-    struct sigaction sa{};
-    sa.sa_handler = handle_signal;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-    struct sigaction hup{};
-    hup.sa_handler = handle_hup;
-    ::sigaction(SIGHUP, &hup, nullptr);
-
-    while (g_stop == 0) {
-      if (g_reload != 0) {
-        g_reload = 0;
-        if (watcher != nullptr) watcher->trigger();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+    gs::cli::wait_for_stop(signals, [&watcher] {
+      if (watcher != nullptr) watcher->trigger();
+    });
     std::fprintf(stderr, "gsserved: draining...\n");
     server.shutdown();
     if (sim_thread.joinable()) sim_thread.join();
