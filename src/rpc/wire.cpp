@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <map>
+#include <utility>
 
 #include "common/checksum.h"
 #include "fault/fault.h"
@@ -98,9 +100,9 @@ void ByteWriter::doubles(std::span<const double> v) {
 // -------------------------------------------------------------- ByteReader
 
 std::span<const std::byte> ByteReader::need(std::size_t n) {
-  if (data_.size() - off_ < n) {
+  if (left() < n) {
     GS_THROW(ParseError, "frame truncated: need " << n << " bytes at offset "
-                         << off_ << ", have " << data_.size() - off_);
+                         << off_ << ", have " << left());
   }
   const auto out = data_.subspan(off_, n);
   off_ += n;
@@ -138,484 +140,474 @@ std::string ByteReader::str() {
 
 std::vector<double> ByteReader::doubles() {
   const std::uint64_t n = u64();
-  GS_REQUIRE(n <= kMaxPayload / sizeof(double),
-             "oversized double array on the wire: " << n);
+  if (n > left() / sizeof(double)) {
+    GS_THROW(ParseError, "double count " << n << " exceeds the " << left()
+                         << " bytes left");
+  }
   const auto raw = need(static_cast<std::size_t>(n) * sizeof(double));
   std::vector<double> out(static_cast<std::size_t>(n));
-  std::memcpy(out.data(), raw.data(), raw.size());
+  // An empty vector's data() may be null, which memcpy must not see.
+  if (n != 0) std::memcpy(out.data(), raw.data(), raw.size());
   return out;
 }
 
 // ------------------------------------------------------------------ codecs
+//
+// Each message's layout is written once, as a field list: a generic
+// `io_<msg>(io, value)` naming every field in wire order. The Encoder runs
+// a list over a const value and writes the fields; the Decoder runs the
+// same list over a default value and reads them. The Decoder alone
+// enforces the input rules: a presence flag is 0 or 1, an enum code is
+// known, an integer fits its C++ field, a count fits the bytes left before
+// anything is allocated, each `io.check` holds, and the payload ends
+// exactly where the list does. So an accepted payload re-encodes to its
+// own bytes, and a rejected one throws ParseError. A new field is appended
+// to its message's list and bumps kVersion.
 
 namespace {
 
-void put_box(ByteWriter& w, const Box3& box) {
-  w.i64(box.start.i);
-  w.i64(box.start.j);
-  w.i64(box.start.k);
-  w.i64(box.count.i);
-  w.i64(box.count.j);
-  w.i64(box.count.k);
-}
-
-Box3 get_box(ByteReader& r) {
-  Box3 box;
-  box.start.i = r.i64();
-  box.start.j = r.i64();
-  box.start.k = r.i64();
-  box.count.i = r.i64();
-  box.count.j = r.i64();
-  box.count.k = r.i64();
-  return box;
-}
-
-svc::Verb verb_from_u8(std::uint8_t v) {
-  if (v >= svc::kNumVerbs) {
-    GS_THROW(ParseError, "unknown verb code " << int(v) << " on the wire");
+/// Runs a field list over a const value, writing each field with the
+/// ByteWriter primitive of its wire type.
+class Encoder : public ByteWriter {
+ public:
+  void flag(bool present) { u8(present ? 1 : 0); }
+  template <class E> void code(E v, int /*count*/, const char* /*what*/) {
+    u8(static_cast<std::uint8_t>(v));
   }
-  return static_cast<svc::Verb>(v);
-}
 
-svc::StatusCode status_from_u8(std::uint8_t v) {
-  if (v >= svc::kNumStatusCodes) {
-    GS_THROW(ParseError, "unknown status code " << int(v) << " on the wire");
+  /// u32 count, then each element's list.
+  template <class T, class List>
+  void seq(const std::vector<T>& v, List list) {
+    u32(static_cast<std::uint32_t>(v.size()));
+    for (const T& e : v) list(*this, e);
   }
-  return static_cast<svc::StatusCode>(v);
+  /// u32 count, then each (name, value) in ascending name order.
+  template <class T, class List>
+  void map(const std::map<std::string, T>& m, List list) {
+    u32(static_cast<std::uint32_t>(m.size()));
+    for (const auto& [name, value] : m) {
+      str(name);
+      list(*this, value);
+    }
+  }
+  /// Presence flag, then the value's list when present.
+  template <class T, class List>
+  void optional(const std::optional<T>& o, List list) {
+    flag(o.has_value());
+    if (o) list(*this, *o);
+  }
+
+  // Input rules and value assembly are the Decoder's.
+  void check(bool, const char*) {}
+  template <class T, class Make> void assign(const T&, Make&&) {}
+};
+
+/// Fewest bytes one element of a list can take: its encoding when
+/// default-constructed (every string empty, every list and optional
+/// absent), measured once per element list.
+template <class T, class List>
+std::size_t min_wire_bytes(List list) {
+  static const std::size_t bytes = [list] {
+    Encoder e;
+    const T empty{};
+    list(e, empty);
+    return e.bytes().size();
+  }();
+  return bytes;
 }
 
-void put_response_body(ByteWriter& w, svc::Verb verb,
-                       const svc::ResponseBody& body) {
+/// Every Decoder rejection: one cold, out-of-line throw.
+[[noreturn]] void malformed(const char* what) {
+  GS_THROW(ParseError, "malformed payload: " << what);
+}
+[[noreturn]] void malformed(const char* what, std::uint64_t value) {
+  GS_THROW(ParseError, "malformed payload: " << what << " " << value);
+}
+
+/// Runs a field list over a default value, reading each field and
+/// enforcing the input rules.
+class Decoder {
+ public:
+  explicit Decoder(std::span<const std::byte> payload) : r_(payload) {}
+
+  template <class T> void u8(T& v) { fit(v, r_.u8()); }
+  template <class T> void u16(T& v) { fit(v, r_.u16()); }
+  template <class T> void u32(T& v) { fit(v, r_.u32()); }
+  template <class T> void u64(T& v) { fit(v, r_.u64()); }
+  template <class T> void i64(T& v) { fit(v, r_.i64()); }
+  void f64(double& v) { v = r_.f64(); }
+  void str(std::string& s) { s = r_.str(); }
+  void doubles(std::vector<double>& v) { v = r_.doubles(); }
+  void flag(bool& present) {
+    const std::uint8_t v = r_.u8();
+    if (v > 1) malformed("presence flag", v);
+    present = v == 1;
+  }
+  template <class E> void code(E& v, int count, const char* what) {
+    const std::uint8_t c = r_.u8();
+    if (c >= count) malformed(what, c);
+    v = static_cast<E>(c);
+  }
+
+  template <class T, class List>
+  void seq(std::vector<T>& v, List list) {
+    v.resize(count(min_wire_bytes<T>(list)));
+    for (T& e : v) list(*this, e);
+  }
+  template <class T, class List>
+  void map(std::map<std::string, T>& m, List list) {
+    // An element is at least an empty name (its u32 length) and a value.
+    const std::size_t n = count(4 + min_wire_bytes<T>(list));
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string name = r_.str();
+      check(m.empty() || m.rbegin()->first < name,
+            "names not strictly ascending");
+      list(*this, m.emplace_hint(m.end(), std::move(name), T{})->second);
+    }
+  }
+  template <class T, class List>
+  void optional(std::optional<T>& o, List list) {
+    bool present = false;
+    flag(present);
+    if (present) list(*this, o.emplace());
+  }
+
+  void check(bool ok, const char* what) {
+    if (!ok) malformed(what);
+  }
+  template <class T, class Make> void assign(T& v, Make&& make) { v = make(); }
+
+  void finish() {
+    if (r_.left() != 0) malformed("trailing bytes", r_.left());
+  }
+
+ private:
+  template <class T, class W> static void fit(T& v, W wire) {
+    v = static_cast<T>(wire);
+    if (static_cast<W>(v) != wire) {
+      malformed("out-of-range integer", static_cast<std::uint64_t>(wire));
+    }
+  }
+
+  /// A u32 element count, refused when `min_bytes`-sized elements could
+  /// not fit in what is left.
+  std::size_t count(std::size_t min_bytes) {
+    const std::size_t n = r_.u32();
+    if (n > r_.left() / min_bytes) malformed("count beyond the payload", n);
+    return n;
+  }
+
+  ByteReader r_;
+};
+
+/// The variant alternative a list fills: the encoder reads the one held,
+/// the decoder emplaces it.
+template <class T, class V> const T& alt(Encoder&, const V& v) {
+  return std::get<T>(v);
+}
+template <class T, class V> T& alt(Decoder&, V& v) {
+  return v.template emplace<T>();
+}
+
+template <class T, class List>
+std::vector<std::byte> encode(const T& value, List list) {
+  Encoder e;
+  list(e, value);
+  return e.take();
+}
+
+template <class T, class List>
+T decode(std::span<const std::byte> payload, List list) {
+  Decoder d(payload);
+  T value{};
+  list(d, value);
+  d.finish();
+  return value;
+}
+
+/// The [lo, hi) window of the nonzero limbs; [0, 0) when all are zero.
+std::pair<std::size_t, std::size_t> limb_window(
+    const ExactSum::Limbs& limbs) {
+  std::size_t lo = 0, hi = 0;
+  for (std::size_t i = 0; i < ExactSum::kLimbs; ++i) {
+    if (limbs[i] == 0) continue;
+    if (hi == 0) lo = i;
+    hi = i + 1;
+  }
+  return {lo, hi};
+}
+
+// ---- field lists --------------------------------------------------------
+
+constexpr auto io_index = [](auto& io, auto& x) {
+  io.i64(x.i);
+  io.i64(x.j);
+  io.i64(x.k);
+};
+
+constexpr auto io_box = [](auto& io, auto& box) {
+  io_index(io, box.start);
+  io_index(io, box.count);
+};
+
+/// ExactSum limbs go on the wire sparsely: the tight [lo, hi) window of
+/// the nonzero limbs, then those limbs. Real accumulations touch a
+/// handful of the 34.
+constexpr auto io_limbs = [](auto& io, auto& limbs) {
+  auto [lo, hi] = limb_window(limbs);
+  io.u8(lo);
+  io.u8(hi);
+  io.check(lo <= hi && hi <= ExactSum::kLimbs,
+           "exact-sum limb window out of range");
+  for (std::size_t i = lo; i < hi; ++i) io.u64(limbs[i]);
+  io.check(limb_window(limbs) == std::pair{lo, hi},
+           "exact-sum limb window is not tight");
+};
+
+constexpr auto io_exact_sum = [](auto& io, auto& sum) {
+  ExactSum::Limbs pos = sum.pos_limbs(), neg = sum.neg_limbs();
+  io_limbs(io, pos);
+  io_limbs(io, neg);
+  io.assign(sum, [&] { return ExactSum::from_limbs(pos, neg); });
+};
+
+constexpr auto io_exact_stats = [](auto& io, auto& stats) {
+  std::uint64_t n = stats.count();
+  double min = stats.min(), max = stats.max();
+  ExactSum sum = stats.exact_sum(), sumsq = stats.exact_sumsq();
+  io.u64(n);
+  io.f64(min);
+  io.f64(max);
+  io_exact_sum(io, sum);
+  io_exact_sum(io, sumsq);
+  // min() and max() read +0.0 while the count is 0.
+  io.check(n != 0 || (std::bit_cast<std::uint64_t>(min) == 0 &&
+                      std::bit_cast<std::uint64_t>(max) == 0),
+           "empty exact stats with a min or max");
+  io.assign(stats, [&] {
+    return ExactStats::from_parts(n, min, max, std::move(sum),
+                                  std::move(sumsq));
+  });
+};
+
+constexpr auto io_request = [](auto& io, auto& request) {
+  svc::Verb verb = svc::verb_of(request.body);
+  io.code(verb, svc::kNumVerbs, "verb code");
+  io.f64(request.timeout_seconds);
   switch (verb) {
-    case svc::Verb::list_variables: {
-      const auto& r = std::get<svc::ListVariablesR>(body);
-      w.i64(r.n_steps);
-      w.u32(static_cast<std::uint32_t>(r.variables.size()));
-      for (const auto& var : r.variables) {
-        w.str(var.name);
-        w.str(var.type);
-        w.i64(var.shape.i);
-        w.i64(var.shape.j);
-        w.i64(var.shape.k);
-        w.i64(var.steps);
-        w.f64(var.min);
-        w.f64(var.max);
+    case svc::Verb::list_variables:
+      alt<svc::ListVariablesQ>(io, request.body);
+      break;
+    case svc::Verb::field_stats: {
+      auto& q = alt<svc::FieldStatsQ>(io, request.body);
+      io.str(q.variable);
+      io.i64(q.step);
+      break;
+    }
+    case svc::Verb::histogram: {
+      auto& q = alt<svc::HistogramQ>(io, request.body);
+      io.str(q.variable);
+      io.i64(q.step);
+      io.u64(q.bins);
+      io.flag(q.has_range);
+      if (q.has_range) {
+        io.f64(q.lo);
+        io.f64(q.hi);
       }
+      break;
+    }
+    case svc::Verb::slice2d: {
+      auto& q = alt<svc::Slice2DQ>(io, request.body);
+      io.str(q.variable);
+      io.i64(q.step);
+      io.i64(q.axis);
+      io.i64(q.coord);
+      break;
+    }
+    case svc::Verb::read_box: {
+      auto& q = alt<svc::ReadBoxQ>(io, request.body);
+      io.str(q.variable);
+      io.i64(q.step);
+      io_box(io, q.box);
+      break;
+    }
+  }
+  // Router -> shard sub-queries only.
+  io.optional(request.shard, [](auto& io, auto& sel) {
+    io.u64(sel.epoch);
+    io.u32(sel.ring_crc);
+    io.str(sel.act_as);
+  });
+  bool tagged = !request.tenant.empty();
+  io.flag(tagged);
+  if (tagged) {
+    io.str(request.tenant);
+    io.check(!request.tenant.empty(), "a present tenant tag is empty");
+  }
+};
+
+/// The body travels only on an ok status, and its layout follows the verb.
+constexpr auto io_body = [](auto& io, auto& response) {
+  bool present = response.status.ok() && response.body.index() != 0;
+  io.flag(present);
+  if (!present) return;
+  io.check(response.status.ok(), "a response body on a non-ok status");
+  switch (response.verb) {
+    case svc::Verb::list_variables: {
+      auto& r = alt<svc::ListVariablesR>(io, response.body);
+      io.i64(r.n_steps);
+      io.seq(r.variables, [](auto& io, auto& var) {
+        io.str(var.name);
+        io.str(var.type);
+        io_index(io, var.shape);
+        io.i64(var.steps);
+        io.f64(var.min);
+        io.f64(var.max);
+      });
       return;
     }
     case svc::Verb::field_stats: {
-      const auto& r = std::get<svc::FieldStatsR>(body);
-      w.u64(r.stats.count);
-      w.f64(r.stats.min);
-      w.f64(r.stats.max);
-      w.f64(r.stats.mean);
-      w.f64(r.stats.stddev);
+      auto& s = alt<svc::FieldStatsR>(io, response.body).stats;
+      io.u64(s.count);
+      io.f64(s.min);
+      io.f64(s.max);
+      io.f64(s.mean);
+      io.f64(s.stddev);
       return;
     }
     case svc::Verb::histogram: {
-      const auto& r = std::get<svc::HistogramR>(body);
-      w.f64(r.lo);
-      w.f64(r.hi);
-      w.u32(static_cast<std::uint32_t>(r.counts.size()));
-      for (const auto c : r.counts) w.u64(c);
-      w.u64(r.total);
+      auto& r = alt<svc::HistogramR>(io, response.body);
+      io.f64(r.lo);
+      io.f64(r.hi);
+      io.seq(r.counts, [](auto& io, auto& c) { io.u64(c); });
+      io.u64(r.total);
       return;
     }
     case svc::Verb::slice2d: {
-      const auto& r = std::get<svc::Slice2DR>(body);
-      w.i64(r.slice.nx);
-      w.i64(r.slice.ny);
-      w.f64(r.slice.min);
-      w.f64(r.slice.max);
-      w.doubles(r.slice.values);
+      auto& s = alt<svc::Slice2DR>(io, response.body).slice;
+      io.i64(s.nx);
+      io.i64(s.ny);
+      io.f64(s.min);
+      io.f64(s.max);
+      io.doubles(s.values);
       return;
     }
     case svc::Verb::read_box: {
-      const auto& r = std::get<svc::ReadBoxR>(body);
-      put_box(w, r.box);
-      w.doubles(r.values);
+      auto& r = alt<svc::ReadBoxR>(io, response.body);
+      io_box(io, r.box);
+      io.doubles(r.values);
       return;
     }
   }
-  GS_THROW(ParseError, "unencodable response body");
-}
+};
 
-svc::ResponseBody get_response_body(ByteReader& r, svc::Verb verb) {
-  switch (verb) {
-    case svc::Verb::list_variables: {
-      svc::ListVariablesR out;
-      out.n_steps = r.i64();
-      const std::uint32_t n = r.u32();
-      out.variables.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        svc::VarEntry var;
-        var.name = r.str();
-        var.type = r.str();
-        var.shape.i = r.i64();
-        var.shape.j = r.i64();
-        var.shape.k = r.i64();
-        var.steps = r.i64();
-        var.min = r.f64();
-        var.max = r.f64();
-        out.variables.push_back(std::move(var));
-      }
-      return out;
-    }
-    case svc::Verb::field_stats: {
-      svc::FieldStatsR out;
-      out.stats.count = static_cast<std::size_t>(r.u64());
-      out.stats.min = r.f64();
-      out.stats.max = r.f64();
-      out.stats.mean = r.f64();
-      out.stats.stddev = r.f64();
-      return out;
-    }
-    case svc::Verb::histogram: {
-      svc::HistogramR out;
-      out.lo = r.f64();
-      out.hi = r.f64();
-      const std::uint32_t n = r.u32();
-      out.counts.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        out.counts.push_back(static_cast<std::size_t>(r.u64()));
-      }
-      out.total = static_cast<std::size_t>(r.u64());
-      return out;
-    }
-    case svc::Verb::slice2d: {
-      svc::Slice2DR out;
-      out.slice.nx = r.i64();
-      out.slice.ny = r.i64();
-      out.slice.min = r.f64();
-      out.slice.max = r.f64();
-      out.slice.values = r.doubles();
-      return out;
-    }
-    case svc::Verb::read_box: {
-      svc::ReadBoxR out;
-      out.box = get_box(r);
-      out.values = r.doubles();
-      return out;
-    }
-  }
-  GS_THROW(ParseError, "undecodable response body");
-}
+constexpr auto io_response = [](auto& io, auto& response) {
+  io.code(response.verb, svc::kNumVerbs, "verb code");
+  io.code(response.status.code, svc::kNumStatusCodes, "status code");
+  io.str(response.status.message);
+  io.flag(response.degraded);
+  io.u64(response.bad_blocks);
+  io.f64(response.queue_seconds);
+  io.f64(response.exec_seconds);
+  io.f64(response.latency_seconds);
+  io.u64(response.cache_hits);
+  io.u64(response.cache_misses);
+  io.u64(response.disk_bytes);
+  io_body(io, response);
+  // Shard -> router sub-responses only.
+  io.optional(response.partial, [](auto& io, auto& p) {
+    io.u64(p.epoch);
+    io.u64(p.covered_blocks);
+    io.u64(p.total_blocks);
+    io.seq(p.coverage, io_box);
+    io.optional(p.stats, io_exact_stats);
+  });
+  io.u64(response.bytes_scanned);
+};
 
-/// ExactSum limbs go on the wire sparsely: [lo, hi) limb window + raw
-/// limbs. Real accumulations touch a handful of the 34 limbs.
-void put_exact_sum(ByteWriter& w, const ExactSum& s) {
-  for (const auto* limbs : {&s.pos_limbs(), &s.neg_limbs()}) {
-    std::size_t lo = ExactSum::kLimbs, hi = 0;
-    for (std::size_t i = 0; i < ExactSum::kLimbs; ++i) {
-      if ((*limbs)[i] != 0) {
-        lo = std::min(lo, i);
-        hi = i + 1;
-      }
-    }
-    if (lo >= hi) lo = hi = 0;
-    w.u8(static_cast<std::uint8_t>(lo));
-    w.u8(static_cast<std::uint8_t>(hi));
-    for (std::size_t i = lo; i < hi; ++i) w.u64((*limbs)[i]);
-  }
-}
+/// (verb, status code, body): what a response answers, without ids,
+/// messages or timings. Encoded only.
+constexpr auto io_answer_identity = [](auto& io, auto& response) {
+  io.code(response.verb, svc::kNumVerbs, "verb code");
+  io.code(response.status.code, svc::kNumStatusCodes, "status code");
+  io_body(io, response);
+};
 
-ExactSum get_exact_sum(ByteReader& r) {
-  ExactSum::Limbs pos{}, neg{};
-  for (auto* limbs : {&pos, &neg}) {
-    const std::size_t lo = r.u8();
-    const std::size_t hi = r.u8();
-    GS_REQUIRE(lo <= hi && hi <= ExactSum::kLimbs,
-               "bad exact-sum limb window [" << lo << "," << hi << ")");
-    for (std::size_t i = lo; i < hi; ++i) (*limbs)[i] = r.u64();
-  }
-  return ExactSum::from_limbs(pos, neg);
-}
+constexpr auto io_stream_step = [](auto& io, auto& step) {
+  io.i64(step.sequence);
+  io.map(step.arrays, [](auto& io, auto& var) {
+    io_index(io, var.shape);
+    io.seq(var.blocks, [](auto& io, auto& block) {
+      io.i64(block.rank);
+      io_box(io, block.box);
+      io.doubles(block.data);
+    });
+  });
+  io.map(step.scalars, [](auto& io, auto& value) { io.i64(value); });
+};
 
-void put_exact_stats(ByteWriter& w, const ExactStats& s) {
-  w.u64(s.count());
-  w.f64(s.min());
-  w.f64(s.max());
-  put_exact_sum(w, s.exact_sum());
-  put_exact_sum(w, s.exact_sumsq());
-}
+constexpr auto io_stream_end = [](auto& io, auto& end) {
+  io.u64(end.dropped);
+  io.str(end.reason);
+};
 
-ExactStats get_exact_stats(ByteReader& r) {
-  const std::uint64_t n = r.u64();
-  const double min = r.f64();
-  const double max = r.f64();
-  ExactSum sum = get_exact_sum(r);
-  ExactSum sumsq = get_exact_sum(r);
-  return ExactStats::from_parts(n, min, max, std::move(sum),
-                                std::move(sumsq));
-}
+constexpr auto io_u64 = [](auto& io, auto& v) { io.u64(v); };
+
+/// The frame header; its layout is tabled in wire.h.
+struct Header {
+  std::uint32_t magic = 0;
+  std::uint16_t version = 0;
+  std::uint16_t type = 0;
+  std::uint64_t id = 0;
+  std::uint32_t payload_len = 0;
+  std::uint32_t payload_crc = 0;
+};
+
+constexpr auto io_header = [](auto& io, auto& h) {
+  io.u32(h.magic);
+  io.u16(h.version);
+  io.u16(h.type);
+  io.u64(h.id);
+  io.u32(h.payload_len);
+  io.u32(h.payload_crc);
+};
 
 }  // namespace
 
 std::vector<std::byte> encode_request(const svc::Request& request) {
-  ByteWriter w;
-  const svc::Verb verb = svc::verb_of(request.body);
-  w.u8(static_cast<std::uint8_t>(verb));
-  w.f64(request.timeout_seconds);
-  switch (verb) {
-    case svc::Verb::list_variables:
-      break;
-    case svc::Verb::field_stats: {
-      const auto& q = std::get<svc::FieldStatsQ>(request.body);
-      w.str(q.variable);
-      w.i64(q.step);
-      break;
-    }
-    case svc::Verb::histogram: {
-      const auto& q = std::get<svc::HistogramQ>(request.body);
-      w.str(q.variable);
-      w.i64(q.step);
-      w.u64(q.bins);
-      // Appended within version 1: explicit bin range (shard routing).
-      w.u8(q.has_range ? 1 : 0);
-      if (q.has_range) {
-        w.f64(q.lo);
-        w.f64(q.hi);
-      }
-      break;
-    }
-    case svc::Verb::slice2d: {
-      const auto& q = std::get<svc::Slice2DQ>(request.body);
-      w.str(q.variable);
-      w.i64(q.step);
-      w.i64(q.axis);
-      w.i64(q.coord);
-      break;
-    }
-    case svc::Verb::read_box: {
-      const auto& q = std::get<svc::ReadBoxQ>(request.body);
-      w.str(q.variable);
-      w.i64(q.step);
-      put_box(w, q.box);
-      break;
-    }
-  }
-  // Appended within version 1: shard selector (router -> shard
-  // sub-queries). Decoders of older frames simply find the payload
-  // exhausted here.
-  w.u8(request.shard.has_value() ? 1 : 0);
-  if (request.shard) {
-    w.u64(request.shard->epoch);
-    w.u32(request.shard->ring_crc);
-    w.str(request.shard->act_as);
-  }
-  // Appended within version 1, after the shard trailer: the tenant tag
-  // for per-tenant serving metrics. Same contract — older decoders see
-  // the payload exhausted before it.
-  w.u8(request.tenant.empty() ? 0 : 1);
-  if (!request.tenant.empty()) w.str(request.tenant);
-  return w.take();
+  return encode(request, io_request);
 }
 
 svc::Request decode_request(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  svc::Request request;
-  const svc::Verb verb = verb_from_u8(r.u8());
-  request.timeout_seconds = r.f64();
-  switch (verb) {
-    case svc::Verb::list_variables:
-      request.body = svc::ListVariablesQ{};
-      break;
-    case svc::Verb::field_stats: {
-      svc::FieldStatsQ q;
-      q.variable = r.str();
-      q.step = r.i64();
-      request.body = std::move(q);
-      break;
-    }
-    case svc::Verb::histogram: {
-      svc::HistogramQ q;
-      q.variable = r.str();
-      q.step = r.i64();
-      q.bins = static_cast<std::size_t>(r.u64());
-      if (!r.exhausted()) {
-        q.has_range = r.u8() != 0;
-        if (q.has_range) {
-          q.lo = r.f64();
-          q.hi = r.f64();
-        }
-      }
-      request.body = std::move(q);
-      break;
-    }
-    case svc::Verb::slice2d: {
-      svc::Slice2DQ q;
-      q.variable = r.str();
-      q.step = r.i64();
-      q.axis = static_cast<int>(r.i64());
-      q.coord = r.i64();
-      request.body = std::move(q);
-      break;
-    }
-    case svc::Verb::read_box: {
-      svc::ReadBoxQ q;
-      q.variable = r.str();
-      q.step = r.i64();
-      q.box = get_box(r);
-      request.body = std::move(q);
-      break;
-    }
-  }
-  if (!r.exhausted() && r.u8() != 0) {
-    svc::ShardSelector sel;
-    sel.epoch = r.u64();
-    sel.ring_crc = r.u32();
-    sel.act_as = r.str();
-    request.shard = std::move(sel);
-  }
-  if (!r.exhausted() && r.u8() != 0) request.tenant = r.str();
-  return request;
+  return decode<svc::Request>(payload, io_request);
 }
 
 std::vector<std::byte> encode_response(const svc::Response& response) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(response.verb));
-  w.u8(static_cast<std::uint8_t>(response.status.code));
-  w.str(response.status.message);
-  w.u8(response.degraded ? 1 : 0);
-  w.u64(response.bad_blocks);
-  w.f64(response.queue_seconds);
-  w.f64(response.exec_seconds);
-  w.f64(response.latency_seconds);
-  w.u64(response.cache_hits);
-  w.u64(response.cache_misses);
-  w.u64(response.disk_bytes);
-  const bool has_body =
-      response.status.ok() && response.body.index() != 0;
-  w.u8(has_body ? 1 : 0);
-  if (has_body) put_response_body(w, response.verb, response.body);
-  // Appended within version 1: partial-answer metadata (shard -> router).
-  w.u8(response.partial.has_value() ? 1 : 0);
-  if (response.partial) {
-    const svc::PartialMeta& p = *response.partial;
-    w.u64(p.epoch);
-    w.u64(p.covered_blocks);
-    w.u64(p.total_blocks);
-    w.u32(static_cast<std::uint32_t>(p.coverage.size()));
-    for (const Box3& box : p.coverage) put_box(w, box);
-    w.u8(p.stats.has_value() ? 1 : 0);
-    if (p.stats) put_exact_stats(w, *p.stats);
-  }
-  // Appended within version 1: per-query I/O accounting (gsquery
-  // --stats-json). Old decoders stop before it; new decoders read zero
-  // when an old encoder omitted it.
-  w.u64(response.bytes_scanned);
-  return w.take();
+  return encode(response, io_response);
 }
 
 svc::Response decode_response(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  svc::Response response;
-  response.verb = verb_from_u8(r.u8());
-  response.status.code = status_from_u8(r.u8());
-  response.status.message = r.str();
-  response.degraded = r.u8() != 0;
-  response.bad_blocks = static_cast<std::size_t>(r.u64());
-  response.queue_seconds = r.f64();
-  response.exec_seconds = r.f64();
-  response.latency_seconds = r.f64();
-  response.cache_hits = static_cast<std::size_t>(r.u64());
-  response.cache_misses = static_cast<std::size_t>(r.u64());
-  response.disk_bytes = r.u64();
-  if (r.u8() != 0) {
-    response.body = get_response_body(r, response.verb);
-  }
-  if (!r.exhausted() && r.u8() != 0) {
-    svc::PartialMeta p;
-    p.epoch = r.u64();
-    p.covered_blocks = r.u64();
-    p.total_blocks = r.u64();
-    const std::uint32_t n = r.u32();
-    p.coverage.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) p.coverage.push_back(get_box(r));
-    if (r.u8() != 0) p.stats = get_exact_stats(r);
-    response.partial = std::move(p);
-  }
-  if (!r.exhausted()) response.bytes_scanned = r.u64();
-  return response;
+  return decode<svc::Response>(payload, io_response);
 }
 
 std::vector<std::byte> encode_answer_identity(const svc::Response& response) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(response.verb));
-  w.u8(static_cast<std::uint8_t>(response.status.code));
-  const bool has_body =
-      response.status.ok() && response.body.index() != 0;
-  w.u8(has_body ? 1 : 0);
-  if (has_body) put_response_body(w, response.verb, response.body);
-  return w.take();
+  return encode(response, io_answer_identity);
 }
 
 std::vector<std::byte> encode_stream_step(const bp::StreamStep& step) {
-  ByteWriter w;
-  w.i64(step.sequence);
-  w.u32(static_cast<std::uint32_t>(step.arrays.size()));
-  for (const auto& [name, var] : step.arrays) {
-    w.str(name);
-    w.i64(var.shape.i);
-    w.i64(var.shape.j);
-    w.i64(var.shape.k);
-    w.u32(static_cast<std::uint32_t>(var.blocks.size()));
-    for (const auto& block : var.blocks) {
-      w.i64(block.rank);
-      put_box(w, block.box);
-      w.doubles(block.data);
-    }
-  }
-  w.u32(static_cast<std::uint32_t>(step.scalars.size()));
-  for (const auto& [name, value] : step.scalars) {
-    w.str(name);
-    w.i64(value);
-  }
-  return w.take();
+  return encode(step, io_stream_step);
 }
 
 bp::StreamStep decode_stream_step(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  bp::StreamStep step;
-  step.sequence = r.i64();
-  const std::uint32_t n_arrays = r.u32();
-  for (std::uint32_t a = 0; a < n_arrays; ++a) {
-    const std::string name = r.str();
-    auto& var = step.arrays[name];
-    var.shape.i = r.i64();
-    var.shape.j = r.i64();
-    var.shape.k = r.i64();
-    const std::uint32_t n_blocks = r.u32();
-    var.blocks.reserve(n_blocks);
-    for (std::uint32_t b = 0; b < n_blocks; ++b) {
-      bp::StreamStep::Block block;
-      block.rank = static_cast<int>(r.i64());
-      block.box = get_box(r);
-      block.data = r.doubles();
-      var.blocks.push_back(std::move(block));
-    }
-  }
-  const std::uint32_t n_scalars = r.u32();
-  for (std::uint32_t s = 0; s < n_scalars; ++s) {
-    const std::string name = r.str();
-    step.scalars[name] = r.i64();
-  }
-  return step;
+  return decode<bp::StreamStep>(payload, io_stream_step);
 }
 
 std::vector<std::byte> encode_stream_end(const StreamEnd& end) {
-  ByteWriter w;
-  w.u64(end.dropped);
-  w.str(end.reason);
-  return w.take();
+  return encode(end, io_stream_end);
 }
 
 StreamEnd decode_stream_end(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  StreamEnd end;
-  end.dropped = r.u64();
-  end.reason = r.str();
-  return end;
+  return decode<StreamEnd>(payload, io_stream_end);
 }
 
 std::vector<std::byte> encode_text(const std::string& text) {
@@ -629,14 +621,11 @@ std::string decode_text(std::span<const std::byte> payload) {
 }
 
 std::vector<std::byte> encode_u64(std::uint64_t v) {
-  ByteWriter w;
-  w.u64(v);
-  return w.take();
+  return encode(v, io_u64);
 }
 
 std::uint64_t decode_u64(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  return r.u64();
+  return decode<std::uint64_t>(payload, io_u64);
 }
 
 // ------------------------------------------------------------ framed I/O
@@ -652,14 +641,11 @@ std::size_t send_frame(Socket& socket, const Frame& frame,
   const std::uint32_t crc =
       frame.payload.empty() ? 0 : crc32(std::span(frame.payload));
 
-  ByteWriter header;
-  header.u32(kMagic);
-  header.u16(kVersion);
-  header.u16(static_cast<std::uint16_t>(frame.type));
-  header.u64(frame.id);
-  header.u32(static_cast<std::uint32_t>(frame.payload.size()));
-  header.u32(crc);
-  std::span<const std::byte> head(header.bytes());
+  const std::vector<std::byte> header = encode(
+      Header{kMagic, kVersion, static_cast<std::uint16_t>(frame.type),
+             frame.id, static_cast<std::uint32_t>(frame.payload.size()), crc},
+      io_header);
+  std::span<const std::byte> head(header);
 
   // An injection armed at rpc.write lands between header and payload: the
   // header goes out alone first, so a `fail` (or `kill`) leaves the peer
@@ -694,13 +680,8 @@ std::optional<Frame> recv_frame(Socket& socket, std::int64_t timeout_ms) {
   std::array<std::byte, kHeaderBytes> header_bytes;
   if (!socket.read_exact(header_bytes, timeout_ms)) return std::nullopt;
 
-  ByteReader r(header_bytes);
-  const std::uint32_t magic = r.u32();
-  const std::uint16_t version = r.u16();
-  const std::uint16_t type = r.u16();
-  const std::uint64_t id = r.u64();
-  const std::uint32_t payload_len = r.u32();
-  const std::uint32_t payload_crc = r.u32();
+  const auto [magic, version, type, id, payload_len, payload_crc] =
+      decode<Header>(header_bytes, io_header);
 
   if (magic != kMagic) {
     GS_THROW(IoError, "bad frame magic 0x" << std::hex << magic

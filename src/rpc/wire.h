@@ -22,8 +22,12 @@
 //
 // Versioning: a receiver rejects frames whose magic or version mismatch
 // with a clean IoError — old clients fail fast against new servers
-// instead of misparsing. The payload encoding may only grow by appending
-// fields within a version; incompatible changes bump `version`.
+// instead of misparsing. Every peer (gsquery, gsserved, gsrouter, gsctl,
+// the benches) is built from this tree, so a payload has no optional
+// fields: its decoder reads exactly the fields its encoder writes and
+// refuses anything shorter, longer or non-canonical with a ParseError. A
+// new field is appended to its message's one field list in wire.cpp and
+// bumps `version`.
 //
 // Sending: one gathering sendmsg of header + payload per frame (with
 // TCP_NODELAY on every TCP socket, see socket.h), so a frame's payload
@@ -91,9 +95,9 @@ const char* to_string(FrameType type);
 /// promising more — without this, 24 header bytes per connection could
 /// pin kMaxPayload of buffer each, a cheap remote memory-exhaustion
 /// vector on a 0.0.0.0 listener. Bulk server-to-client frames (response,
-/// stream_step, ...) keep the global kMaxPayload bound. Caps leave slack
-/// over the current encodings so appending fields within a protocol
-/// version stays compatible.
+/// stream_step, ...) keep the global kMaxPayload bound. The request cap
+/// is orders of magnitude above any real query description, so a field
+/// appended in a later version fits without moving it.
 std::uint32_t max_payload_of(FrameType type);
 
 struct Frame {
@@ -131,7 +135,8 @@ class ByteWriter {
 };
 
 /// Bounds-checked little-endian reader; throws gs::ParseError on overrun
-/// (a short frame must never read garbage).
+/// (a short frame must never read garbage), and on a double count that
+/// promises more than the bytes left.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::byte> data) : data_(data) {}
@@ -145,7 +150,7 @@ class ByteReader {
   std::string str();
   std::vector<double> doubles();
 
-  bool exhausted() const { return off_ == data_.size(); }
+  std::size_t left() const { return data_.size() - off_; }
 
  private:
   std::span<const std::byte> need(std::size_t n);
@@ -155,6 +160,9 @@ class ByteReader {
 };
 
 // ---- codecs --------------------------------------------------------------
+//
+// Every decode_* consumes its payload exactly and either returns a value
+// that re-encodes to the same bytes or throws gs::ParseError.
 
 std::vector<std::byte> encode_request(const svc::Request& request);
 svc::Request decode_request(std::span<const std::byte> payload);

@@ -274,12 +274,18 @@ Router::SubResult Router::ask(EpochState& ep,
             call = st.channel.start(rpc::FrameType::request, payload);
           }
           reply = st.channel.wait(call);
+          response = rpc::decode_response(reply.payload);
+        } catch (const ParseError& e) {
+          // An undecodable reply fails this attempt, like a reply of the
+          // wrong frame type.
+          record_call(st, std::nullopt);
+          GS_THROW(IoError, "shard " << id << " sent an undecodable "
+                                     << "response: " << e.what());
         } catch (...) {
           record_call(st, std::nullopt);
           throw;
         }
         record_call(st, call.seconds);
-        response = rpc::decode_response(reply.payload);
       });
     } catch (const IoError&) {
       ep.health->record_failure(id);

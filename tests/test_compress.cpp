@@ -22,6 +22,7 @@
 #include "core/reference.h"
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
+#include "mutator.h"
 
 namespace {
 
@@ -369,33 +370,17 @@ TEST(Gorilla, SeededMutationsDecodeExactlyOrThrow) {
   // rejected with gs::Error; under ASan a read past the stream fails
   // the run.
   const auto streams = small_streams();
-  gs::Rng rng(2015);
+  gs::test::Mutator mutator(2015);
   int decoded = 0;
   int rejected = 0;
   const int kMutations = 12000;
   for (int m = 0; m < kMutations; ++m) {
-    std::vector<std::byte> s = streams[rng.next_u64() % streams.size()];
-    const auto kind = rng.next_u64() % 4;
-    if (kind == 0 || kind == 3) {  // flip 1-4 bits anywhere
-      const int flips = 1 + static_cast<int>(rng.next_u64() % 4);
-      for (int f = 0; f < flips; ++f) {
-        const auto bit = rng.next_u64() % (s.size() * 8);
-        s[bit / 8] ^=
-            std::byte{static_cast<unsigned char>(0x80u >> (bit % 8))};
-      }
-    }
-    if (kind == 1 || kind == 3) {  // truncate
-      s.resize(rng.next_u64() % (s.size() + 1));
-    }
-    if (kind == 2) {  // inflate the count, a little or absurdly
-      std::uint64_t count = header_count(s);
-      count = rng.next_u64() % 2 ? count + 1 + rng.next_u64() % 64
-                                 : count | (rng.next_u64() << 8);
-      for (int i = 7; i >= 0; --i, count >>= 8) {
-        s[static_cast<std::size_t>(i)] =
-            std::byte{static_cast<unsigned char>(count & 0xFF)};
-      }
-    }
+    std::vector<std::byte> s = streams[mutator.below(streams.size())];
+    const auto kind = mutator.below(4);
+    if (kind == 0 || kind == 3) mutator.flip_bits(s);
+    if (kind == 1 || kind == 3) mutator.truncate(s);
+    // The header count: 8 big-endian bytes at the front.
+    if (kind == 2) mutator.inflate(s, 0, 8, /*big_endian=*/true);
     try {
       const auto out = decode_exact(s);
       ASSERT_GE(s.size(), 8u) << "mutation " << m;

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -33,6 +34,7 @@
 #include "fault/fault.h"
 #include "grid/decomp.h"
 #include "mpi/runtime.h"
+#include "mutator.h"
 #include "rpc/channel.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
@@ -180,7 +182,8 @@ TEST(RpcWire, AnswerIdentityIgnoresTimingsButNotBody) {
 
 TEST(RpcWire, TruncatedPayloadThrowsParseError) {
   const auto bytes = encode_request(stats_request("U", 1));
-  for (const std::size_t keep : {std::size_t{0}, bytes.size() / 2}) {
+  for (const std::size_t keep :
+       {std::size_t{0}, bytes.size() / 2, bytes.size() - 1}) {
     EXPECT_THROW(
         decode_request(std::span<const std::byte>(bytes.data(), keep)),
         gs::ParseError);
@@ -205,6 +208,272 @@ TEST(RpcWire, StreamStepRoundTrips) {
   EXPECT_EQ(back.arrays.at("U").blocks[1].data,
             std::vector<double>({-4.0, 5.5}));
   EXPECT_EQ(encode_stream_step(back), bytes);
+}
+
+// One encoding of each message shape: every verb's request and response,
+// ok and error statuses, the shard selector, the tenant tag, a ranged
+// histogram, partial metadata with exact stats, and both stream frames.
+// The pins and the mutation test share them.
+enum class Msg { request, response, stream_step, stream_end };
+
+struct Encoding {
+  std::string name;
+  Msg msg;
+  std::vector<std::byte> bytes;
+};
+
+std::vector<Encoding> wire_encodings() {
+  std::vector<Encoding> out;
+  const Box3 box{{1, 2, 3}, {4, 5, 6}};
+  const auto request = [&](const std::string& name, svc::QueryBody body,
+                           const auto& decorate) {
+    svc::Request r;
+    r.body = std::move(body);
+    r.timeout_seconds = 2.5;
+    decorate(r);
+    out.push_back({name, Msg::request, encode_request(r)});
+  };
+  const auto plain = [](svc::Request&) {};
+  request("req.list_variables", svc::ListVariablesQ{}, plain);
+  request("req.field_stats", svc::FieldStatsQ{"U", 2}, plain);
+  request("req.histogram", svc::HistogramQ{"V", 1, 32}, plain);
+  request("req.slice2d", svc::Slice2DQ{"U", 0, 1, 7}, plain);
+  request("req.read_box", svc::ReadBoxQ{"V", 1, box}, plain);
+  request("req.histogram_ranged_shard_tenant",
+          svc::HistogramQ{"U", 2, 16, true, -1.5, 4.25},
+          [](svc::Request& r) {
+            r.shard = svc::ShardSelector{7, 0xC0FFEEu, "s2"};
+            r.tenant = "alice";
+          });
+  request("req.read_box_shard", svc::ReadBoxQ{"U", 0, box},
+          [](svc::Request& r) {
+            r.shard = svc::ShardSelector{3, 0x1234u, "s0"};
+          });
+  request("req.field_stats_tenant", svc::FieldStatsQ{"V", 0},
+          [](svc::Request& r) { r.tenant = "bob"; });
+
+  const auto response = [&](const std::string& name, svc::Verb verb,
+                            svc::ResponseBody body, const auto& decorate) {
+    svc::Response r;
+    r.verb = verb;
+    r.body = std::move(body);
+    r.queue_seconds = 0.001;
+    r.exec_seconds = 0.25;
+    r.latency_seconds = 0.375;
+    r.cache_hits = 3;
+    r.cache_misses = 1;
+    r.disk_bytes = 4096;
+    r.bytes_scanned = 65536;
+    decorate(r);
+    out.push_back({name, Msg::response, encode_response(r)});
+  };
+  const auto ok = [](svc::Response&) {};
+  svc::ListVariablesR listing;
+  listing.n_steps = 3;
+  listing.variables = {{"U", "double", {16, 16, 16}, 3, -1.0, 2.0},
+                       {"V", "double", {16, 16, 16}, 3, 0.0, 0.5}};
+  response("resp.list_variables", svc::Verb::list_variables, listing, ok);
+  response("resp.field_stats", svc::Verb::field_stats,
+           svc::FieldStatsR{{4096, -1.0, 2.0, 0.5, 0.25}}, ok);
+  response("resp.histogram", svc::Verb::histogram,
+           svc::HistogramR{-1.0, 2.0, {3, 0, 5, 1}, 9}, ok);
+  svc::Slice2DR slice;
+  slice.slice = {2, 2, {1.0, -2.5, 3.25, 1e-300}, -2.5, 3.25};
+  response("resp.slice2d", svc::Verb::slice2d, slice, ok);
+  response("resp.read_box", svc::Verb::read_box,
+           svc::ReadBoxR{Box3{{0, 0, 0}, {1, 1, 2}}, {0.5, -0.25}},
+           [](svc::Response& r) {
+             r.degraded = true;
+             r.bad_blocks = 1;
+           });
+  response("resp.bad_request", svc::Verb::field_stats, std::monostate{},
+           [](svc::Response& r) {
+             r.status = {svc::StatusCode::bad_request, "no variable W"};
+           });
+  response("resp.server_busy", svc::Verb::histogram, std::monostate{},
+           [](svc::Response& r) {
+             r.status = {svc::StatusCode::server_busy, "queue full"};
+           });
+  response("resp.partial_exact_stats", svc::Verb::field_stats,
+           svc::FieldStatsR{{3, -2.0, 1e10, 1.0, 0.5}},
+           [&](svc::Response& r) {
+             gs::ExactStats stats;
+             for (const double x : {-2.0, 0.125, 1e10}) stats.add(x);
+             r.partial = svc::PartialMeta{9, 2, 8, {box, box}, stats};
+           });
+  // A shard owning none of the blocks: an empty accumulator.
+  response("resp.partial_empty_stats", svc::Verb::field_stats,
+           svc::FieldStatsR{}, [&](svc::Response& r) {
+             r.partial = svc::PartialMeta{9, 0, 8, {}, gs::ExactStats{}};
+           });
+  response("resp.partial_slice", svc::Verb::slice2d, slice,
+           [&](svc::Response& r) {
+             r.partial = svc::PartialMeta{9, 1, 8, {box}, std::nullopt};
+           });
+
+  gs::bp::StreamStep step;
+  step.sequence = 7;
+  step.scalars["step"] = 70;
+  step.scalars["t"] = -3;
+  gs::bp::StreamStep::ArrayVar var;
+  var.shape = {4, 4, 4};
+  var.blocks.push_back({1, Box3{{0, 0, 0}, {4, 4, 2}}, {1.0, 2.0, 3.0}});
+  var.blocks.push_back({2, Box3{{0, 0, 2}, {4, 4, 2}}, {-4.0, 5.5}});
+  step.arrays["U"] = var;
+  step.arrays["V"] = var;
+  out.push_back({"stream_step", Msg::stream_step, encode_stream_step(step)});
+  out.push_back({"stream_end", Msg::stream_end,
+                 encode_stream_end(StreamEnd{3, "producer closed"})});
+  return out;
+}
+
+/// Decodes `bytes` as `msg` and encodes the result again.
+std::vector<std::byte> reencode(Msg msg, std::span<const std::byte> bytes) {
+  switch (msg) {
+    case Msg::request: return encode_request(decode_request(bytes));
+    case Msg::response: return encode_response(decode_response(bytes));
+    case Msg::stream_step:
+      return encode_stream_step(decode_stream_step(bytes));
+    case Msg::stream_end: return encode_stream_end(decode_stream_end(bytes));
+  }
+  return {};
+}
+
+TEST(RpcWire, EncodingsArePinned) {
+  // CRC-32 of every wire_encodings() entry. These bytes are protocol
+  // version 1: a change here is a layout change and bumps kVersion.
+  const std::vector<std::pair<std::string, std::uint32_t>> pins = {
+      {"req.list_variables", 0x947FAB7Bu},
+      {"req.field_stats", 0xCB750481u},
+      {"req.histogram", 0x0766EA02u},
+      {"req.slice2d", 0x9D8C405Cu},
+      {"req.read_box", 0x0EA2384Cu},
+      {"req.histogram_ranged_shard_tenant", 0x0D20C0B6u},
+      {"req.read_box_shard", 0x4B29FA87u},
+      {"req.field_stats_tenant", 0x71904562u},
+      {"resp.list_variables", 0x1CB95B25u},
+      {"resp.field_stats", 0xA1FAFCC8u},
+      {"resp.histogram", 0x8AAE305Eu},
+      {"resp.slice2d", 0x5A6EFB0Bu},
+      {"resp.read_box", 0xA31A57CEu},
+      {"resp.bad_request", 0xEB89323Bu},
+      {"resp.server_busy", 0x0F58A22Au},
+      {"resp.partial_exact_stats", 0x31CCB86Au},
+      {"resp.partial_empty_stats", 0x02EE10FEu},
+      {"resp.partial_slice", 0x9A816D80u},
+      {"stream_step", 0xAD5EBBC7u},
+      {"stream_end", 0xD267DAF9u},
+  };
+  const auto encodings = wire_encodings();
+  ASSERT_EQ(encodings.size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(encodings[i].name, pins[i].first);
+    EXPECT_EQ(gs::crc32(encodings[i].bytes), pins[i].second)
+        << encodings[i].name;
+    EXPECT_EQ(reencode(encodings[i].msg, encodings[i].bytes),
+              encodings[i].bytes)
+        << encodings[i].name;
+  }
+}
+
+TEST(RpcWire, NonCanonicalPayloadsThrowParseError) {
+  std::map<std::string, std::vector<std::byte>> by_name;
+  for (auto& e : wire_encodings()) by_name[e.name] = std::move(e.bytes);
+  const auto find = [&](const std::string& name) { return by_name.at(name); };
+  const auto with = [](std::vector<std::byte> bytes, std::size_t at,
+                       std::uint8_t value) {
+    bytes[at] = std::byte{value};
+    return bytes;
+  };
+
+  // Appended bytes, a missing bytes_scanned.
+  const auto request = find("req.field_stats");
+  auto longer = request;
+  longer.resize(request.size() + 2);
+  EXPECT_THROW(decode_request(longer), gs::ParseError);
+  const auto response = find("resp.field_stats");
+  EXPECT_THROW(decode_response({response.data(), response.size() - 8}),
+               gs::ParseError);
+
+  // A tenant flag of 1 with an empty name: "bob" cut off and its length
+  // zeroed.
+  auto tagged = find("req.field_stats_tenant");
+  tagged.resize(tagged.size() - 3);
+  std::fill(tagged.end() - 4, tagged.end(), std::byte{0});
+  EXPECT_THROW(decode_request(tagged), gs::ParseError);
+
+  // Presence flags are 0 or 1: `degraded` sits after verb, status and the
+  // empty status message.
+  EXPECT_THROW(decode_response(with(response, 6, 2)), gs::ParseError);
+
+  // A body on a non-ok status.
+  EXPECT_THROW(decode_response(with(response, 1, 3)), gs::ParseError);
+
+  // Counts beyond the bytes left throw before anything is allocated: the
+  // histogram bin count, then a slice's double count.
+  auto histogram = find("resp.histogram");
+  const std::size_t bins_at = 2 + 4 + 1 + 8 + 3 * 8 + 3 * 8 + 1 + 16;
+  ASSERT_EQ(static_cast<std::uint8_t>(histogram[bins_at]), 4u);
+  for (std::size_t i = 0; i < 4; ++i) histogram[bins_at + i] = std::byte{0xFF};
+  EXPECT_THROW(decode_response(histogram), gs::ParseError);
+  auto slice = find("resp.slice2d");
+  const std::size_t values_at = 2 + 4 + 1 + 8 + 3 * 8 + 3 * 8 + 1 + 32;
+  ASSERT_EQ(static_cast<std::uint8_t>(slice[values_at]), 4u);
+  slice[values_at + 7] = std::byte{0x10};
+  EXPECT_THROW(decode_response(slice), gs::ParseError);
+}
+
+TEST(RpcWire, SeededMutationsRoundTripOrThrowParseError) {
+  // Bit flips, truncations, appended bytes and count inflations of every
+  // wire_encodings() entry. Each mutant either decodes to a value that
+  // re-encodes to exactly its own bytes or is rejected with ParseError;
+  // under ASan a read past the payload fails the run.
+  const auto encodings = wire_encodings();
+  // Count and length fields are little-endian u32s holding small values;
+  // inflation picks among the offsets where one could start.
+  std::vector<std::vector<std::size_t>> counts(encodings.size());
+  for (std::size_t e = 0; e < encodings.size(); ++e) {
+    const auto& bytes = encodings[e].bytes;
+    for (std::size_t at = 0; at + 4 <= bytes.size(); ++at) {
+      std::uint32_t v = 0;
+      for (std::size_t i = 4; i-- > 0;) {
+        v = (v << 8) | static_cast<std::uint8_t>(bytes[at + i]);
+      }
+      if (v >= 1 && v <= 4096) counts[e].push_back(at);
+    }
+  }
+  gs::test::Mutator mutator(30);
+  int round_trips = 0;
+  int rejected = 0;
+  const int kMutations = 24000;
+  for (int m = 0; m < kMutations; ++m) {
+    const std::size_t e = mutator.below(encodings.size());
+    std::vector<std::byte> s = encodings[e].bytes;
+    const auto kind = mutator.below(5);
+    if (kind == 0 || kind == 3) mutator.flip_bits(s);
+    if (kind == 1 || kind == 3) mutator.truncate(s);
+    if (kind == 2 && !counts[e].empty()) {
+      const std::size_t at = counts[e][mutator.below(counts[e].size())];
+      mutator.inflate(s, at, 4, /*big_endian=*/false);
+    }
+    if (kind == 4) mutator.append(s);
+    try {
+      const auto again = reencode(encodings[e].msg, s);
+      ASSERT_EQ(again, s) << "mutation " << m << " of " << encodings[e].name
+                          << " decoded but re-encodes differently";
+      ++round_trips;
+    } catch (const gs::ParseError&) {
+      ++rejected;
+    } catch (const std::exception& x) {
+      FAIL() << "mutation " << m << " of " << encodings[e].name
+             << " threw an untyped " << x.what();
+    }
+  }
+  RecordProperty("round_trips", round_trips);
+  RecordProperty("rejected", rejected);
+  // Both outcomes are common, or the mutator is not reaching the decoder.
+  EXPECT_GT(round_trips, kMutations / 10);
+  EXPECT_GT(rejected, kMutations / 10);
 }
 
 TEST(RpcWire, FramesCarryTypeIdAndPayload) {
@@ -1041,7 +1310,7 @@ TEST(RpcStream, StalledSubscriberDoesNotDelayAnother) {
 
 // ---- tenant tag on the wire ----------------------------------------------
 
-TEST(RpcWire, TenantTagRoundTripsAndVersionOneFramesStillDecode) {
+TEST(RpcWire, TenantTagRoundTripsAndAFrameWithoutItIsRefused) {
   svc::Request request = stats_request("U", 1);
   request.tenant = "alice";
   const svc::Request back = decode_request(encode_request(request));
@@ -1049,12 +1318,12 @@ TEST(RpcWire, TenantTagRoundTripsAndVersionOneFramesStillDecode) {
   ASSERT_TRUE(std::holds_alternative<svc::FieldStatsQ>(back.body));
   EXPECT_EQ(std::get<svc::FieldStatsQ>(back.body).variable, "U");
 
-  // A frame from a pre-tenant peer simply ends earlier; the trailer is
-  // append-only and its absence means "no tenant".
+  // Every field is mandatory: a frame that stops before the tenant flag
+  // is truncated, not "untagged".
   auto bytes = encode_request(stats_request("U", 1));
   ASSERT_GE(bytes.size(), 1u);
   bytes.pop_back();  // strip the tenant-presence flag
-  EXPECT_TRUE(decode_request(bytes).tenant.empty());
+  EXPECT_THROW(decode_request(bytes), gs::ParseError);
 }
 
 // ---- multiplexed channel --------------------------------------------------

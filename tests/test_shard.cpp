@@ -821,6 +821,107 @@ TEST(ShardRouter, SubcallAttemptsAreTheWholeTransportCount) {
   EXPECT_EQ(accepts.load(), 2);
 }
 
+TEST(ShardRouter, UndecodableShardReplyFailsThatShardAndTheRouterServesOn) {
+  // s2 is a raw-socket fake that answers every request with a histogram
+  // response whose bin count is 0xFFFFFFFF: a frame with a valid CRC and
+  // an absurd count. The router must book it as s2's failed attempt,
+  // answer, and serve the next query.
+  svc::Response bad;
+  bad.verb = svc::Verb::histogram;
+  bad.body = svc::HistogramR{0.0, 1.0, {1, 2}, 3};
+  std::vector<std::byte> payload = rpc::encode_response(bad);
+  // verb, status, empty message, degraded, bad_blocks, three timings,
+  // three counters, the body flag, lo and hi come first.
+  const std::size_t bins_at = 2 + 4 + 1 + 8 + 3 * 8 + 3 * 8 + 1 + 16;
+  ASSERT_EQ(static_cast<std::uint8_t>(payload[bins_at]), 2u);
+  for (std::size_t i = 0; i < 4; ++i) payload[bins_at + i] = std::byte{0xFF};
+
+  rpc::Listener listener =
+      rpc::Listener::bind_listen(rpc::Endpoint::parse("127.0.0.1:0"), 16);
+  std::atomic<bool> stop{false};
+  std::thread fake([&] {
+    while (!stop.load()) {
+      std::optional<rpc::Socket> sock = listener.accept(20);
+      if (!sock) continue;
+      try {
+        while (const auto frame = rpc::recv_frame(*sock, 5000)) {
+          rpc::Frame reply{rpc::FrameType::pong, frame->id, {}};
+          if (frame->type == rpc::FrameType::request) {
+            reply.type = rpc::FrameType::response;
+            reply.payload = payload;
+          }
+          rpc::send_frame(*sock, reply, 5000);
+        }
+      } catch (const gs::IoError&) {
+        // the router hung up
+      }
+    }
+  });
+
+  std::vector<shard::ShardInfo> infos;
+  for (int i = 0; i < 2; ++i) {
+    infos.push_back(shard::ShardInfo{
+        std::string("s").append(std::to_string(i)),
+        "unix:" + temp_path("badreply" + std::to_string(i)) + ".sock"});
+  }
+  infos.push_back(shard::ShardInfo{"s2", listener.endpoint().str()});
+  const auto map = std::make_shared<const shard::ShardMap>(1, 64, infos);
+  std::vector<std::unique_ptr<svc::Service>> services;
+  std::vector<std::unique_ptr<rpc::Server>> servers;
+  for (int i = 0; i < 2; ++i) {
+    svc::ServiceConfig config;
+    config.shard_map = map;
+    services.push_back(
+        std::make_unique<svc::Service>(dataset(), std::move(config)));
+    rpc::ServerConfig server_config;
+    server_config.listen = infos[static_cast<std::size_t>(i)].endpoint;
+    servers.push_back(
+        std::make_unique<rpc::Server>(*services.back(), server_config));
+  }
+  svc::Service single(dataset(), svc::ServiceConfig{});
+
+  for (const bool failover : {false, true}) {
+    shard::RouterConfig config;
+    config.failover = failover;
+    config.attempts = 1;
+    config.client.retries = 1;
+    config.probe_interval_ms = 0;
+    shard::Router router(map, config);
+    for (const auto& body :
+         {svc::QueryBody{svc::FieldStatsQ{"U", 1}},
+          svc::QueryBody{svc::HistogramQ{"U", 1, 16}}}) {
+      svc::Request request;
+      request.body = body;
+      const svc::Response r = router.call(std::move(request));
+      ASSERT_TRUE(r.status.ok()) << r.status.message;
+      SCOPED_TRACE(std::string(svc::to_string(r.verb)) +
+                   (failover ? " with failover" : " without failover"));
+      if (failover) {
+        // s2's blocks fail over to the replicas: the exact answer.
+        svc::Request direct;
+        direct.body = body;
+        EXPECT_FALSE(r.degraded);
+        EXPECT_EQ(rpc::encode_answer_identity(r),
+                  rpc::encode_answer_identity(single.call(std::move(direct))));
+      } else {
+        EXPECT_TRUE(r.degraded) << "s2's blocks must be flagged missing";
+        EXPECT_NE(r.status.message.find("missing shard(s) s2"),
+                  std::string::npos)
+            << "got: " << r.status.message;
+      }
+    }
+    EXPECT_GE(router.stats().subquery_errors, 2u);
+    if (failover) {
+      EXPECT_GE(router.stats().failovers, 2u);
+    }
+  }
+
+  stop.store(true);
+  fake.join();
+  for (auto& server : servers) server->shutdown();
+  for (auto& service : services) service->shutdown();
+}
+
 /// A daemon that refuses every request with a retryable server_busy and
 /// counts the requests it gets.
 class BusyHandler : public svc::Handler {
